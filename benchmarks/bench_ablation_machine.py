@@ -3,7 +3,8 @@
 HM1's headline features — the 3-phase microcycle with chaining and the
 dual move paths — are exactly what makes S*'s ``cocycle`` expressible
 and what the composition algorithms exploit.  These ablations disable
-each feature on a fresh HM1 description and measure the compaction
+each feature on a variant derived from HM1 (``machine.derive``, which
+gives each variant its own fingerprint) and measure the compaction
 loss on the benchmark corpus, plus memory latency's effect on runtime.
 """
 
@@ -14,34 +15,27 @@ import dataclasses
 from repro.bench import CORPUS, compile_program, render_table, run_program
 from repro.compose import ListScheduler, compose_program
 from repro.machine.machines import build_hm1
+from repro.machine.opspec import OperationTable
 
 
 def no_chaining_hm1():
-    machine = build_hm1()
-    machine.allows_phase_chaining = False
-    machine.name = "HM1-nochain"
-    return machine
+    return build_hm1().derive(
+        name="HM1-nochain", allows_phase_chaining=False
+    )
 
 
 def single_move_path_hm1():
     machine = build_hm1()
     # Retarget the B move path onto the A fields: every mov now fights
     # for one selector pair, as on a single-bus machine.
-    from repro.machine.opspec import OpSpec
-
-    variants = machine.ops._variants["mov"]
-    replacement = []
-    for spec in variants:
-        if spec.variant == "b":
-            replacement.append(dataclasses.replace(
-                spec, unit="mova",
-                settings=(("a_src", "$src0"), ("a_dst", "$dest")),
-            ))
-        else:
-            replacement.append(spec)
-    machine.ops._variants["mov"] = replacement
-    machine.name = "HM1-onebus"
-    return machine
+    specs = [
+        dataclasses.replace(
+            spec, unit="mova",
+            settings=(("a_src", "$src0"), ("a_dst", "$dest")),
+        ) if spec.name == "mov" and spec.variant == "b" else spec
+        for spec in machine.ops
+    ]
+    return machine.derive(name="HM1-onebus", ops=OperationTable.of(specs))
 
 
 def corpus_words(machine):
@@ -80,11 +74,12 @@ def test_ablation_memory_latency(benchmark, report):
     memory = {500 + i: i * 3 for i in range(8)}
 
     def cycles_at(latency):
-        machine = build_hm1()
-        machine.units["mem"] = dataclasses.replace(
-            machine.units["mem"], latency=latency
+        base = build_hm1()
+        machine = base.derive(
+            name=f"HM1-mem{latency}",
+            units={**base.units, "mem": dataclasses.replace(
+                base.units["mem"], latency=latency)},
         )
-        machine.name = f"HM1-mem{latency}"
         run = run_program("checksum", machine, dict(inputs),
                           memory=dict(memory))
         assert run.run_result.exit_value is not None

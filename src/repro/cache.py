@@ -16,7 +16,9 @@ fingerprint digests the *description* — register file, op table,
 control-word format, unit timings — not the object identity, so two
 independently built instances of the same machine (e.g. in different
 worker processes) share cache entries, while a variant built with
-different knobs (``macro_visible=...``) does not.
+different knobs (``macro_visible=...``) or derived with
+``machine.derive(...)`` does not.  Machines are immutable once
+built, so the fingerprint is computed once and never goes stale.
 
 Two tiers:
 
@@ -55,53 +57,11 @@ CACHE_FORMAT = 2
 def machine_fingerprint(machine) -> str:
     """Stable digest of a machine *description* (not identity).
 
-    Covers everything compilation can observe: datapath geometry,
-    the register file (including banking, windows, macro-visibility
-    and read-only flags), functional-unit timing, the op table and
-    the control-word format.  Notes and other report-only attributes
-    are deliberately excluded.
+    Machines are frozen at construction and digest themselves once
+    (:attr:`~repro.machine.machine.MicroArchitecture.fingerprint`), so
+    this is an attribute read, not a re-hash.
     """
-    files = machine.registers
-    parts: list[str] = [
-        machine.name,
-        str(machine.word_size),
-        str(machine.n_phases),
-        str(int(machine.allows_phase_chaining)),
-        str(machine.memory_latency),
-        str(machine.control_store_size),
-        str(machine.micro_stack_depth),
-        str(machine.scratchpad_size),
-        ",".join(machine.flags),
-        str(int(machine.has_multiway_branch)),
-        str(int(machine.vertical)),
-        f"banks={files.n_banks};ptr={files.bank_pointer}",
-    ]
-    for register in files:
-        parts.append(
-            f"reg:{register.name}:{register.width}:"
-            f"{','.join(sorted(register.classes))}:"
-            f"{int(register.auto_increment)}{int(register.macro_visible)}"
-            f"{int(register.readonly)}:{register.reset}:"
-            f"{files.bank_of.get(register.name, -1)}"
-        )
-    for window, physical in sorted(files.windows.items()):
-        parts.append(f"win:{window}:{','.join(physical)}")
-    for name, unit in sorted(machine.units.items()):
-        parts.append(f"unit:{name}:{unit.phase}:{unit.count}:{unit.latency}")
-    for name, variants in sorted(machine.ops._variants.items()):
-        for spec in variants:
-            parts.append(
-                f"op:{spec.key}:{spec.unit}:{spec.n_srcs}:"
-                f"{int(spec.has_dest)}:{spec.latency}:"
-                f"{spec.settings!r}:{spec.imm_srcs!r}"
-            )
-    for fld in machine.control._fields.values():
-        parts.append(
-            f"fld:{fld.name}:{fld.width}:{int(fld.is_immediate)}:"
-            f"{fld.nop_code}:{sorted(fld.encodings.items())!r}"
-        )
-    digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
-    return digest[:16]
+    return machine.fingerprint
 
 
 def canonical_value(value) -> str:

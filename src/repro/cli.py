@@ -440,7 +440,6 @@ def cmd_serve(args) -> int:
         cache_dir=args.cache_dir,
         drain_timeout_s=args.drain_timeout_s,
         enable_chaos=args.enable_chaos,
-        batch_window_ms=args.batch_window_ms,
         batch_max_lanes=args.batch_max_lanes,
     )
 
@@ -783,13 +782,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="accept 'chaos' request fields (worker self-kill "
              "schedules) — tests and CI smoke only")
     serve_parser.add_argument(
-        "--batch-window-ms", type=float, default=5.0, metavar="MS",
-        help="gather window for cross-request run micro-batching "
-             "(default 5; 0 batches only what is already queued)")
-    serve_parser.add_argument(
         "--batch-max-lanes", type=int, default=8, metavar="N",
-        help="max lockstep lanes per batched dispatch "
-             "(default 8; 1 disables batching)")
+        help="max lockstep lanes per batched dispatch of queued "
+             "compatible runs (default 8; 1 disables batching)")
     serve_parser.set_defaults(handler=cmd_serve)
     return parser
 

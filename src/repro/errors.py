@@ -16,6 +16,14 @@ class MachineError(ReproError):
     """An inconsistency in a machine description (S1/S2)."""
 
 
+class FrozenMachineError(MachineError):
+    """A built machine description was mutated in place.
+
+    Descriptions are frozen (and fingerprinted) once built; variants
+    are made with :meth:`~repro.machine.machine.MicroArchitecture.derive`.
+    """
+
+
 class EncodingError(MachineError):
     """A micro-operation could not be encoded into the control word."""
 

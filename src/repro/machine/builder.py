@@ -165,9 +165,10 @@ class MachineBuilder:
 
     # -- finish -----------------------------------------------------------
     def build(self, **options) -> MicroArchitecture:
+        """The validated, frozen machine (see :class:`MicroArchitecture`)."""
         merged = dict(self.options)
         merged.update(options)
-        machine = MicroArchitecture(
+        return MicroArchitecture(
             name=self.name,
             word_size=self.word_size,
             registers=self.registers,
@@ -176,5 +177,3 @@ class MachineBuilder:
             ops=self.ops,
             **merged,
         )
-        machine.validate()
-        return machine

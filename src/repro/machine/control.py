@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 
 from repro.errors import EncodingError, MachineError
+from repro.machine.frozen import FrozenDict, Sealable
 
 
 @dataclass(frozen=True)
@@ -37,6 +38,7 @@ class Field:
     nop_code: int = 0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "encodings", FrozenDict(self.encodings))
         if self.width <= 0:
             raise MachineError(f"field {self.name!r} must have positive width")
         limit = 1 << self.width
@@ -85,8 +87,10 @@ class Field:
         return code
 
 
-class ControlWordFormat:
+class ControlWordFormat(Sealable):
     """The ordered collection of fields making up one control word."""
+
+    _CONTAINERS = ("_fields", "_offsets")
 
     def __init__(self, fields: list[Field]):
         self._fields: dict[str, Field] = {}

@@ -23,10 +23,11 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.errors import MachineError
+from repro.machine.frozen import Sealable
 
 
 @dataclass
-class DatapathGraph:
+class DatapathGraph(Sealable):
     """Directed register-to-register connectivity.
 
     Attributes:

@@ -9,18 +9,28 @@ means writing *data*, not code.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 from dataclasses import dataclass, field as dataclass_field
 
 from repro.errors import EncodingError, MachineError
 from repro.machine.control import ControlWordFormat
+from repro.machine.frozen import Sealable
 from repro.machine.opspec import OpSpec, OperationTable
 from repro.machine.registers import Register, RegisterFile
 from repro.machine.units import FunctionalUnit
 
 
 @dataclass
-class MicroArchitecture:
+class MicroArchitecture(Sealable):
     """A user-microprogrammable machine, described as data.
+
+    A description is frozen at construction: it is validated, every
+    container becomes read-only (mutation raises
+    :class:`~repro.errors.FrozenMachineError`) and its
+    :attr:`fingerprint` is computed once.  Variants are made with
+    :meth:`derive`, never by editing a built machine, so a fingerprint
+    — and every cache entry keyed by one — can never go stale.
 
     Attributes:
         name: Machine name, e.g. ``"HM1"``.
@@ -42,6 +52,9 @@ class MicroArchitecture:
         has_multiway_branch: Whether the sequencer supports mask-table
             dispatch (YALLL's multiway branch, §2.2.4).
         notes: Free-form description used in reports.
+        fingerprint: Stable digest of everything compilation can
+            observe (see :meth:`_digest`); equal descriptions built
+            independently share it, any variant gets its own.
     """
 
     name: str
@@ -63,7 +76,24 @@ class MicroArchitecture:
     #: abstraction, survey §2.2.5).  None = fully connected.
     datapath: "object | None" = None
     notes: str = ""
-    _validated: bool = dataclass_field(default=False, repr=False)
+    fingerprint: str = dataclass_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.validate()
+        self.fingerprint = self._digest()
+        self.freeze()
+
+    def derive(self, **changes) -> "MicroArchitecture":
+        """A new frozen machine: this one with ``changes`` applied.
+
+        ``changes`` name constructor fields (``name=``,
+        ``allows_phase_chaining=``, ``units=``, ``ops=`` …); the copy is
+        validated and fingerprinted afresh, and this machine is left
+        untouched.  Build replacement tables from the frozen ones, e.g.
+        ``units={**machine.units, "mem": slower}`` or
+        ``ops=OperationTable.of(specs)``.
+        """
+        return dataclasses.replace(self, **changes)
 
     # ------------------------------------------------------------------
     # Lookup helpers
@@ -204,7 +234,61 @@ class MicroArchitecture:
                     )
         if self.datapath is not None:
             self.datapath.validate(set(self.registers.names()))
-        self._validated = True
+
+    def _digest(self) -> str:
+        """Digest the description (not the object identity).
+
+        Covers everything compilation can observe: datapath geometry
+        and connectivity, the register file (including banking,
+        windows, macro-visibility and read-only flags),
+        functional-unit timing, every field of every op spec and the
+        control-word format.  Notes and other report-only attributes are
+        deliberately excluded.
+        """
+        files = self.registers
+        parts: list[str] = [
+            self.name,
+            str(self.word_size),
+            str(self.n_phases),
+            str(int(self.allows_phase_chaining)),
+            str(self.memory_latency),
+            str(self.control_store_size),
+            str(self.micro_stack_depth),
+            str(self.scratchpad_size),
+            ",".join(self.flags),
+            str(int(self.has_multiway_branch)),
+            str(int(self.vertical)),
+            f"banks={files.n_banks};ptr={files.bank_pointer}",
+        ]
+        for register in files:
+            parts.append(
+                f"reg:{register.name}:{register.width}:"
+                f"{','.join(sorted(register.classes))}:"
+                f"{int(register.auto_increment)}{int(register.macro_visible)}"
+                f"{int(register.readonly)}:{register.reset}:"
+                f"{files.bank_of.get(register.name, -1)}"
+            )
+        for window, physical in sorted(files.windows.items()):
+            parts.append(f"win:{window}:{','.join(physical)}")
+        for name, unit in sorted(self.units.items()):
+            parts.append(f"unit:{name}:{unit.phase}:{unit.count}:{unit.latency}")
+        for name in sorted(self.ops.names()):
+            # Every OpSpec field: flags, classes and commutativity steer
+            # dependence analysis, allocation and composition too.
+            parts.extend(f"op:{spec!r}" for spec in self.ops.variants(name))
+        for fld in self.control:
+            parts.append(
+                f"fld:{fld.name}:{fld.width}:{int(fld.is_immediate)}:"
+                f"{fld.nop_code}:{sorted(fld.encodings.items())!r}"
+            )
+        if self.datapath is not None:
+            for source, targets in sorted(self.datapath.direct.items()):
+                parts.append(f"path:{source}:{','.join(sorted(targets))}")
+            parts.append(
+                f"routing:{','.join(sorted(self.datapath.routing_registers))}"
+            )
+        digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
+        return digest[:16]
 
     # ------------------------------------------------------------------
     # Reporting

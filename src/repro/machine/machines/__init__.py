@@ -1,6 +1,7 @@
 """Concrete machine descriptions shipped with the toolkit.
 
-Each builder returns a fresh, validated :class:`MicroArchitecture`.
+Each builder returns a fresh, validated and frozen
+:class:`MicroArchitecture`.
 Every machine registers a :class:`repro.registry.MachineSpec` here —
 the single table the CLI, fault campaigns and benchmarks resolve
 against; ``get_machine``/``machine_names`` remain as thin wrappers
@@ -62,7 +63,7 @@ def machine_names() -> list[str]:
 
 
 def get_machine(name: str) -> MicroArchitecture:
-    """Build a fresh machine description by name."""
+    """The shared (frozen) machine description for ``name``."""
     return build_machine(name)
 
 

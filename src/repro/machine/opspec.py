@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 
 from repro.errors import MachineError
+from repro.machine.frozen import Sealable
 
 #: Operand placeholder prefixes recognized in field settings.
 DEST = "$dest"
@@ -98,10 +99,18 @@ class OpSpec:
 
 
 @dataclass
-class OperationTable:
+class OperationTable(Sealable):
     """All micro-operations a machine provides, grouped by name."""
 
     _variants: dict[str, list[OpSpec]] = dataclass_field(default_factory=dict)
+
+    @classmethod
+    def of(cls, specs) -> "OperationTable":
+        """A table holding ``specs`` in order (for derived machines)."""
+        table = cls()
+        for spec in specs:
+            table.add(spec)
+        return table
 
     def add(self, spec: OpSpec) -> OpSpec:
         variants = self._variants.setdefault(spec.name, [])

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import MachineError
+from repro.machine.frozen import Sealable
 
 #: Class tag carried by every general purpose register.
 GPR = "gpr"
@@ -88,13 +89,16 @@ def const_register(name: str, width: int, value: int) -> Register:
 
 
 @dataclass
-class RegisterFile:
+class RegisterFile(Sealable):
     """The complete register set of a machine.
 
     Supports *register banks* (Interdata 3200 style, survey §2.1.2): a
     bank is a group of registers selected by a bank pointer; the
     ``bank_of`` mapping records which bank each banked register belongs
     to so code generators can reason about the ``new-block`` primitive.
+
+    Built up with :meth:`add` / :meth:`add_window`, then frozen with
+    the machine that owns it.
     """
 
     registers: dict[str, Register] = field(default_factory=dict)

@@ -153,10 +153,11 @@ def get_generator(lang: str) -> Callable:
 class MachineSpec:
     """One registered machine description builder.
 
-    ``build()`` returns a fresh, validated
-    :class:`~repro.machine.machine.MicroArchitecture` — machine
-    instances are mutable working objects, so the registry hands out
-    new ones rather than caching.
+    ``build()`` returns a freshly built, validated and frozen
+    :class:`~repro.machine.machine.MicroArchitecture`.  Because built
+    machines are immutable (variants come from ``machine.derive``),
+    :func:`build_machine` can hand every caller in a process the same
+    instance instead of rebuilding and re-fingerprinting it.
     """
 
     name: str
@@ -170,11 +171,14 @@ class MachineSpec:
 
 
 _MACHINES: dict[str, MachineSpec] = {}
+#: Per-process memo of :func:`build_machine` (frozen, so shareable).
+_BUILT: dict[str, object] = {}
 
 
 def register_machine(spec: MachineSpec) -> MachineSpec:
     """Register a machine description builder."""
     _MACHINES[spec.name] = spec
+    _BUILT.pop(spec.name, None)
     return spec
 
 
@@ -203,5 +207,14 @@ def get_machine_spec(name: str) -> MachineSpec:
 
 
 def build_machine(name: str):
-    """Build a fresh machine description by name."""
-    return get_machine_spec(name).build()
+    """The machine description registered as ``name``, built once.
+
+    Every call in a process returns the same frozen instance, so hot
+    paths (the serve event loop, worker compiles, campaigns) neither
+    rebuild nor re-fingerprint it.  ``get_machine_spec(name).build()``
+    still builds a private copy.
+    """
+    machine = _BUILT.get(name)
+    if machine is None:
+        machine = _BUILT[name] = get_machine_spec(name).build()
+    return machine

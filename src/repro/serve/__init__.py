@@ -22,11 +22,12 @@ built robustness-first:
   seeded-jittered exponential backoff.  A request that kills workers
   repeatedly is quarantined by a per-key circuit breaker with
   half-open probes.
-* **Cross-request micro-batching** — compatible queued ``/run`` jobs
-  gather (``batch_window_ms`` / ``batch_max_lanes``) and execute as
-  one lockstep struct-of-arrays batch (:mod:`repro.sim.batch`) inside
-  a single worker, with results demultiplexed back per request —
-  byte-identical to scalar execution, admission mirroring
+* **Work-conserving cross-request micro-batching** — a ``/run`` never
+  waits while a worker is idle; compatible ``/run`` jobs that queued
+  behind busy workers dispatch together (up to ``batch_max_lanes``)
+  as one lockstep struct-of-arrays batch (:mod:`repro.sim.batch`)
+  inside a single worker, with results demultiplexed back per
+  request — byte-identical to scalar execution, admission mirroring
   ``batch_refusal``.
 * **Graceful drain** — ``SIGTERM`` stops admission, finishes
   in-flight work, then exits; ``/healthz`` and ``/metrics`` report

@@ -53,12 +53,11 @@ class ServeConfig:
         collect_metrics: Fold every campaign's rollup into the
             service-wide :class:`~repro.obs.aggregate.CampaignMetrics`
             exposed at ``/metrics``.
-        batch_window_ms: How long a queued batchable ``/run`` may
-            wait for compatible lane-mates before it dispatches
-            anyway.  0 disables gathering (still batches whatever is
-            simultaneously queued).
         batch_max_lanes: Most lanes one lockstep dispatch may carry;
-            1 disables cross-request batching entirely.
+            1 disables cross-request batching entirely.  Batching is
+            work-conserving: a ``/run`` never waits while a worker is
+            idle; compatible runs that queued up behind busy workers
+            dispatch together.
     """
 
     host: str = "127.0.0.1"
@@ -82,7 +81,6 @@ class ServeConfig:
     drain_timeout_s: float = 30.0
     enable_chaos: bool = False
     collect_metrics: bool = True
-    batch_window_ms: float = 5.0
     batch_max_lanes: int = 8
 
     def __post_init__(self) -> None:
@@ -90,8 +88,6 @@ class ServeConfig:
             raise ValueError("serve needs at least one worker")
         if self.batch_max_lanes < 1:
             raise ValueError("batch_max_lanes must be >= 1")
-        if self.batch_window_ms < 0:
-            raise ValueError("batch_window_ms must be >= 0")
         for name in ("compile", "run", "campaign"):
             if self.class_limits.get(name, 0) < 1:
                 raise ValueError(f"class limit for {name!r} must be >= 1")

@@ -14,8 +14,12 @@ Lifecycle of a submitted job:
 1. :meth:`WorkerPool.submit` gates the job's key through the circuit
    breaker (open ⇒ immediate ``quarantined`` outcome), then queues a
    ticket and returns a :class:`concurrent.futures.Future`.
-2. The supervisor dispatches tickets to idle workers, oldest
-   admissible first (backoff ``not_before`` gates re-queued work).
+2. The ticket goes straight to an idle worker if there is one (the
+   pool is work-conserving: nothing waits while a worker idles);
+   otherwise the supervisor dispatches it when a worker frees up,
+   oldest admissible first (backoff ``not_before`` gates re-queued
+   work), gathering queued compatible ``/run`` lane-mates into one
+   lockstep batch.
 3. A worker answers with a structured response → the future resolves.
 4. A worker *dies* with the ticket in flight → the worker is
    respawned, the death is a breaker strike against the ticket's key,
@@ -195,7 +199,6 @@ class WorkerPool:
         breakers: CircuitBreakers | None = None,
         max_requeues: int = 4,
         kill_grace_s: float = 2.0,
-        batch_window_s: float = 0.0,
         batch_max_lanes: int = 1,
         tracer=NULL_TRACER,
         clock=time.monotonic,
@@ -210,7 +213,6 @@ class WorkerPool:
         self.breakers = breakers or CircuitBreakers()
         self.max_requeues = max_requeues
         self.kill_grace_s = kill_grace_s
-        self.batch_window_s = batch_window_s
         self.batch_max_lanes = batch_max_lanes
         self.tracer = tracer
         self.clock = clock
@@ -253,12 +255,12 @@ class WorkerPool:
                batch_key: str | None = None) -> Future:
         """Queue one job; resolves to a terminal structured outcome.
 
-        ``batch_key`` marks the job gatherable: queued jobs sharing a
-        key may dispatch together as one lockstep batch (bounded by
-        ``batch_max_lanes``, after at most ``batch_window_s`` of
-        gathering).  Half-open breaker probes always run scalar — a
-        probe's strike semantics must not be chargeable to innocent
-        lane-mates.
+        The job dispatches right here when a worker is idle; otherwise
+        it queues for the supervisor.  ``batch_key`` marks it
+        gatherable: queued jobs sharing a key may dispatch together as
+        one lockstep batch (bounded by ``batch_max_lanes``).  Half-open
+        breaker probes always run scalar — a probe's strike semantics
+        must not be chargeable to innocent lane-mates.
         """
         future: Future = Future()
         now = self.clock()
@@ -292,6 +294,7 @@ class WorkerPool:
             )
             self._next_id += 1
             self._pending.append(ticket)
+            self._dispatch_locked(now)
         self._wake()
         return future
 
@@ -357,13 +360,21 @@ class WorkerPool:
             pass
 
     def _dispatch_locked(self, now: float) -> None:
+        """Hand admissible tickets to idle workers, oldest first.
+
+        Work-conserving: a ticket never waits while a worker is idle.
+        Batching happens where it is free — while every worker is
+        busy, compatible tickets pile up in ``_pending``, and the next
+        free worker takes a ticket together with its queued lane-mates
+        (same ``batch_key``, at most ``batch_max_lanes``) as one
+        lockstep flush.
+        """
         idle = [w for w in self._workers if not w.inflight]
         if not idle:
             return
         admissible = [
             t for t in self._pending if t.not_before <= now
         ]
-        held: set[str] = set()
         for ticket in admissible:
             if ticket not in self._pending:
                 continue  # dispatched as a lane-mate earlier this pass
@@ -380,47 +391,35 @@ class WorkerPool:
             if not idle:
                 break
             if ticket.batch_key is None:
-                self._send_lanes_locked(idle.pop(), [ticket], now)
-                continue
-            if ticket.batch_key in held:
-                continue
-            group = [
-                t for t in admissible
-                if t.batch_key == ticket.batch_key and t in self._pending
-                and not (t.deadline is not None and now >= t.deadline)
-            ]
-            # Gather: hold an under-full group while its window is
-            # open and the pool is not draining — the whole point of
-            # the window is to let lane-mates arrive.
-            if (
-                len(group) < self.batch_max_lanes
-                and now - group[0].submitted < self.batch_window_s
-                and not self._closing
-            ):
-                held.add(ticket.batch_key)
-                continue
-            self._send_lanes_locked(
-                idle.pop(), group[:self.batch_max_lanes], now
-            )
+                lanes = [ticket]
+            else:
+                lanes = [
+                    t for t in admissible
+                    if t.batch_key == ticket.batch_key
+                    and t in self._pending
+                    and not (t.deadline is not None and now >= t.deadline)
+                ][:self.batch_max_lanes]
+            self._send_lanes_locked(idle.pop(), lanes, now)
 
     def _next_wait_locked(self, now: float) -> float:
-        """Seconds until the earliest timer the supervisor must honor."""
+        """Seconds until the earliest timer the supervisor must honor.
+
+        Floored at 1 ms only to keep an already-due timer from
+        spinning; backoff gates, queue deadlines and kill grace all
+        fire within a millisecond of their time.
+        """
         horizon = 0.5
         for ticket in self._pending:
             if ticket.not_before > now:
                 horizon = min(horizon, ticket.not_before - now)
             if ticket.deadline is not None and ticket.deadline > now:
                 horizon = min(horizon, ticket.deadline - now)
-            if ticket.batch_key is not None:
-                flush_at = ticket.submitted + self.batch_window_s
-                if flush_at > now:
-                    horizon = min(horizon, flush_at - now)
         for worker in self._workers:
             for ticket in worker.inflight:
                 if ticket.deadline is not None:
                     kill_at = ticket.deadline + self.kill_grace_s
                     horizon = min(horizon, max(0.0, kill_at - now))
-        return max(0.01, horizon)
+        return max(0.001, horizon)
 
     def _respawn_locked(self, worker: _Worker) -> None:
         index = self._workers.index(worker)

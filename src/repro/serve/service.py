@@ -26,12 +26,13 @@ time covers the follower's whole budget); otherwise it admits
 normally.  The ``serve.dedup`` counter on ``/metrics`` counts
 coalesced requests.
 
-Past admission, compatible ``/run`` jobs micro-batch: the pool
-gathers queued runs sharing a batch group key (same program, machine,
-engine and options — only ``set``/``mem``/``show`` may differ) for up
-to ``batch_window_ms`` and dispatches them as one lockstep
-struct-of-arrays execution of up to ``batch_max_lanes`` lanes
-(:mod:`repro.sim.batch`).  Admission mirrors ``batch_refusal``:
+Past admission, compatible ``/run`` jobs micro-batch without ever
+waiting for company: a run goes straight to an idle worker, and only
+runs that queued up behind busy workers and share a batch group key
+(same program, machine, engine and options — only
+``set``/``mem``/``show`` may differ) dispatch together, as one
+lockstep struct-of-arrays execution of up to ``batch_max_lanes``
+lanes (:mod:`repro.sim.batch`).  Admission mirrors ``batch_refusal``:
 anything that cannot share a lane without observable divergence —
 chaos hooks, non-decoded engines, an *explicit* client deadline —
 runs scalar, so per-request responses stay byte-identical to serial
@@ -108,7 +109,6 @@ class ReproService:
             ),
             max_requeues=self.config.max_requeues,
             kill_grace_s=self.config.kill_grace_s,
-            batch_window_s=self.config.batch_window_ms / 1000.0,
             batch_max_lanes=self.config.batch_max_lanes,
             tracer=tracer,
         )

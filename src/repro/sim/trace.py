@@ -72,7 +72,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.asm.loader import ResidentProgram
-from repro.cache import machine_fingerprint, write_atomic
+from repro.cache import write_atomic
 from repro.errors import MicroTrap
 from repro.mir.block import Multiway
 from repro.mir.operands import Reg
@@ -721,7 +721,6 @@ class TraceJIT:
         if simulator.trace_dir is not None:
             self.disk_dir = Path(simulator.trace_dir)
             self.disk_dir.mkdir(parents=True, exist_ok=True)
-        self._fingerprint: str | None = None
         self._rt = _TraceExit()
         self._pending = 0
 
@@ -822,9 +821,7 @@ class TraceJIT:
         key = None
         source = None
         if self.disk_dir is not None:
-            if self._fingerprint is None:
-                self._fingerprint = machine_fingerprint(machine)
-            key = trace_key(self._fingerprint, elements)
+            key = trace_key(machine.fingerprint, elements)
             source = self._disk_probe(key)
         if source is None:
             source = stitch_trace(self.sim, recording.resident, elements)

@@ -25,6 +25,7 @@ from repro.lang.sstar import compile_sstar
 from repro.lang.yalll import compile_yalll
 from repro.machine.machines import get_machine
 from repro.obs.tracer import Tracer
+from repro.registry import get_machine_spec
 
 YALLL_SRC = """
     put total,0
@@ -46,8 +47,8 @@ end
 
 class TestAddressing:
     def test_fingerprint_is_descriptive_not_identity(self):
-        a = get_machine("HM1")
-        b = get_machine("HM1")
+        a = get_machine_spec("HM1").build()
+        b = get_machine_spec("HM1").build()
         assert a is not b
         assert machine_fingerprint(a) == machine_fingerprint(b)
 

@@ -4,8 +4,9 @@ import pytest
 
 from repro.errors import EncodingError, MachineError
 from repro.machine.machines import get_machine, machine_names
-from repro.machine.opspec import OpSpec
+from repro.machine.opspec import OperationTable, OpSpec
 from repro.machine.registers import MAR, MBR
+from repro.registry import get_machine_spec
 
 
 class TestRegistry:
@@ -17,7 +18,9 @@ class TestRegistry:
             get_machine("PDP-11")
 
     def test_fresh_instances(self):
-        assert get_machine("HM1") is not get_machine("HM1")
+        spec = get_machine_spec("HM1")
+        assert spec.build() is not spec.build()
+        assert get_machine("HM1") is get_machine("HM1")
 
     @pytest.mark.parametrize("name", ["HM1", "CM1", "HP300m", "VAXm", "VM1", "ID3200m"])
     def test_all_validate(self, name):
@@ -144,13 +147,9 @@ class TestResolveSettings:
 class TestValidation:
     def test_unknown_unit_rejected(self, hm1):
         bad = OpSpec("bogus", "warp-drive", 0, False, ())
-        hm1.ops.add(bad)
-        try:
-            with pytest.raises(MachineError):
-                hm1.validate()
-        finally:
-            hm1.ops._variants.pop("bogus")
-            hm1.validate()
+        with pytest.raises(MachineError):
+            hm1.derive(ops=OperationTable.of([*hm1.ops, bad]))
+        hm1.validate()  # the original is untouched
 
     def test_op_lookup_missing(self, hm1):
         with pytest.raises(MachineError):

@@ -4,8 +4,14 @@ The contract under test is byte-identity: a request served through a
 lockstep batch must produce exactly the response it would have
 produced alone — same result block, same error text — with batching
 observable only through the ``serve.batch`` counters and obs spans.
+
+Dispatch is work-conserving (a run never waits while a worker is
+idle), so the gather tests first occupy the worker with a chaos
+``sleep_s`` job: submissions made meanwhile queue up, and gather when
+the worker frees.
 """
 
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -63,14 +69,35 @@ def submit_batchable(pool, job, **kwargs):
     )
 
 
+def occupy(pool, sleep_s: float = 0.5):
+    """Busy the pool's only worker so later submissions queue up."""
+    sleeper = {"op": "run", "source": ADD_SRC, "lang": "yalll",
+               "chaos": {"sleep_s": sleep_s}}
+    future = pool.submit(sleeper, key=job_key(sleeper))
+    assert pool.depth() == {"pending": 0, "inflight": 1, "workers": 1}
+    return future
+
+
 class TestPoolBatching:
+    def test_lone_batchable_run_dispatches_at_once(self, make_pool):
+        pool = make_pool(batch_max_lanes=8)
+        future = submit_batchable(pool, mul_job(4), deadline_s=30)
+        # Work-conserving: the idle worker has it before submit returns.
+        assert pool.depth() == {"pending": 0, "inflight": 1, "workers": 1}
+        outcome = future.result(timeout=60)
+        assert outcome["status"] == "ok"
+        assert outcome["result"]["registers"]["p"] == 12
+        assert pool.stats.batch_flushes == 0
+
     def test_gathered_lanes_share_one_flush(self, make_pool, tmp_path):
-        pool = make_pool(batch_window_s=0.5, batch_max_lanes=8)
+        pool = make_pool(batch_max_lanes=8)
+        sleeper = occupy(pool)
         futures = [
             submit_batchable(pool, mul_job(a), deadline_s=30)
             for a in range(8)
         ]
         outcomes = [f.result(timeout=60) for f in futures]
+        assert sleeper.result(timeout=60)["status"] == "ok"
         assert pool.stats.batch_flushes == 1
         assert pool.stats.batch_lanes == 8
         for a, outcome in enumerate(outcomes):
@@ -84,7 +111,8 @@ class TestPoolBatching:
             assert outcome["result"] == scalar["result"]
 
     def test_lanes_demux_to_their_own_futures(self, make_pool):
-        pool = make_pool(batch_window_s=0.5, batch_max_lanes=8)
+        pool = make_pool(batch_max_lanes=8)
+        occupy(pool)
         futures = {
             a: submit_batchable(pool, mul_job(a, n=5), deadline_s=30)
             for a in range(6)
@@ -94,9 +122,12 @@ class TestPoolBatching:
             assert outcome["status"] == "ok"
             assert outcome["result"]["registers"]["p"] == a * 5
             assert outcome["result"]["exit_value"] == a * 5
+        assert pool.stats.batch_flushes == 1
+        assert pool.stats.batch_lanes == 6
 
     def test_max_lanes_one_never_batches(self, make_pool):
-        pool = make_pool(batch_window_s=0.5, batch_max_lanes=1)
+        pool = make_pool(batch_max_lanes=1)
+        occupy(pool)
         futures = [
             pool.submit(mul_job(a), key=job_key(mul_job(a)),
                         deadline_s=30, batch_key=batch_group_key(mul_job(a)))
@@ -108,7 +139,8 @@ class TestPoolBatching:
         assert pool.stats.batch_lanes == 0
 
     def test_distinct_group_keys_never_share_a_flush(self, make_pool):
-        pool = make_pool(batch_window_s=0.3, batch_max_lanes=8)
+        pool = make_pool(batch_max_lanes=8)
+        occupy(pool)
         add = {"op": "run", "source": ADD_SRC, "lang": "yalll"}
         futures = [
             submit_batchable(pool, mul_job(a), deadline_s=30)
@@ -121,29 +153,41 @@ class TestPoolBatching:
         assert [o["status"] for o in outcomes] == ["ok"] * 3
         assert outcomes[0]["result"]["registers"]["p"] == 0
         assert outcomes[2]["result"]["registers"]["a"] == 5
-        # The add job must not have ridden in the mul batch.
-        assert pool.stats.batch_lanes <= 2
-
-    def test_window_expiry_flushes_partial_group(self, make_pool):
-        pool = make_pool(batch_window_s=0.05, batch_max_lanes=8)
-        futures = [
-            submit_batchable(pool, mul_job(a), deadline_s=30)
-            for a in range(2)
-        ]
-        outcomes = [f.result(timeout=60) for f in futures]
-        assert [o["status"] for o in outcomes] == ["ok", "ok"]
-        # Two lanes were all that arrived inside the window; the group
-        # flushed without waiting for the other six.
+        # The two mul lanes rode together; the add job ran alone.
         assert pool.stats.batch_flushes == 1
         assert pool.stats.batch_lanes == 2
+
+
+class TestConcurrentSubmit:
+    def test_racing_submitters_each_get_their_own_answer(self, make_pool):
+        """``submit`` dispatches from the caller's thread: with more
+        workers than cores and a tiny switch interval, every ticket
+        must still dispatch exactly once and resolve to its own lane."""
+        pool = make_pool(n_workers=3, batch_max_lanes=4)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as threads:
+                futures = list(threads.map(
+                    lambda a: submit_batchable(pool, mul_job(a),
+                                               deadline_s=60),
+                    range(48),
+                ))
+            outcomes = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(switch)
+        assert [o["result"]["registers"]["p"] for o in outcomes] == [
+            3 * a for a in range(48)
+        ]
+        assert pool.stats.submitted == pool.stats.completed == 48
+        assert pool.depth() == {"pending": 0, "inflight": 0, "workers": 3}
 
 
 class TestBatchSpans:
     def test_gather_and_execute_spans_carry_lane_counts(self, make_pool):
         tracer = Tracer()
-        pool = make_pool(
-            batch_window_s=0.3, batch_max_lanes=4, tracer=tracer
-        )
+        pool = make_pool(batch_max_lanes=4, tracer=tracer)
+        occupy(pool)
         futures = [
             submit_batchable(pool, mul_job(a), deadline_s=30)
             for a in range(4)
@@ -168,10 +212,11 @@ class TestChaosMidBatch:
     ):
         lanes = 6
         pool = make_pool(
-            batch_window_s=0.5, batch_max_lanes=lanes,
+            batch_max_lanes=lanes,
             breakers=CircuitBreakers(strikes=100),
             max_requeues=4,
         )
+        occupy(pool, sleep_s=0.3)
         # Enough loop trips that the batch is still running when the
         # worker dies under it.
         jobs = [mul_job(a, n=30_000) for a in range(lanes)]
@@ -201,17 +246,30 @@ class TestChaosMidBatch:
 
 class TestServiceBatching:
     def _flood(self, runner, count, n=50):
+        """``count`` concurrent runs, posted while a chaos sleeper holds
+        the service's single worker — so they queue and gather."""
         def post(a):
             return runner.request(
                 "POST", "/run", mul_job(a, n=n), timeout=60
             )
 
-        with ThreadPoolExecutor(max_workers=count) as pool:
-            return list(pool.map(post, range(count)))
+        sleeper = {"source": ADD_SRC, "lang": "yalll",
+                   "chaos": {"sleep_s": 1.0}}
+        with ThreadPoolExecutor(max_workers=count + 1) as pool:
+            held = pool.submit(runner.request, "POST", "/compile",
+                               sleeper, timeout=60)
+            deadline = time.monotonic() + 30
+            while runner.request("GET", "/healthz")[1]["pool"][
+                    "inflight"] < 1:
+                assert time.monotonic() < deadline, "sleeper never ran"
+                time.sleep(0.01)
+            responses = list(pool.map(post, range(count)))
+            assert held.result(timeout=60)[0] == 200
+        return responses
 
     def test_flood_batches_and_matches_scalar_bytes(self, tmp_path):
         batched_config = ServeConfig(
-            workers=2, batch_window_ms=150.0, batch_max_lanes=8,
+            workers=1, enable_chaos=True, batch_max_lanes=8,
             cache_dir=str(tmp_path / "batched-cache"), seed=11,
         )
         scalar_config = ServeConfig(
@@ -228,14 +286,15 @@ class TestServiceBatching:
                 for a in range(12)
             ]
         assert all(status == 200 for status, _ in responses)
-        assert health["pool"]["batch_lanes"] >= 2
-        assert health["pool"]["batch_flushes"] >= 1
+        # Twelve queued lanes, eight per flush: two lockstep dispatches.
+        assert health["pool"]["batch_lanes"] == 12
+        assert health["pool"]["batch_flushes"] == 2
         for (_, body), (_, serial_body) in zip(responses, serial):
             assert body["result"] == serial_body["result"]
 
     def test_explicit_deadline_refuses_batching(self, tmp_path):
         config = ServeConfig(
-            workers=1, batch_window_ms=50.0, batch_max_lanes=8,
+            workers=1, batch_max_lanes=8,
             cache_dir=str(tmp_path / "cache"),
         )
         with ServiceRunner(config) as runner:
@@ -249,7 +308,7 @@ class TestServiceBatching:
 
     def test_metrics_expose_batch_family(self, tmp_path):
         config = ServeConfig(
-            workers=2, batch_window_ms=150.0, batch_max_lanes=8,
+            workers=1, enable_chaos=True, batch_max_lanes=8,
             cache_dir=str(tmp_path / "cache"),
         )
         with ServiceRunner(config) as runner:

@@ -5,11 +5,14 @@ dispatch attempts (or wedge with a sleep), so every assertion about
 crash counts, retry outcomes and breaker states is exact.
 """
 
+from concurrent.futures import Future
+from types import SimpleNamespace
+
 import pytest
 
 from repro.serve.backoff import BackoffPolicy, CircuitBreakers
 from repro.serve.jobs import job_key
-from repro.serve.pool import WorkerPool
+from repro.serve.pool import WorkerPool, _Ticket
 from tests.serve.conftest import ADD_SRC
 
 FAST_BACKOFF = BackoffPolicy(base_s=0.01, cap_s=0.1, jitter=0.5, seed=7)
@@ -138,6 +141,29 @@ class TestQuarantine:
         assert outcome["status"] == "quarantined"
         assert outcome["attempts"] == 1  # the probe died once
         assert pool.breakers.is_open(job_key(run_job(chaos=self.POISON)))
+
+
+class TestSupervisorTimers:
+    """The supervisor sleeps no longer than its earliest timer, even a
+    millisecond-scale one (no pool processes are started here)."""
+
+    NOW = 100.0
+
+    def _ticket(self, **fields):
+        fields.setdefault("deadline", None)
+        return _Ticket(ticket_id=0, key="k", job={}, future=Future(),
+                       **fields)
+
+    @pytest.mark.parametrize("timer", ["not_before", "deadline", "kill"])
+    def test_wait_honours_a_timer_due_in_2ms(self, timer):
+        pool = WorkerPool(1, kill_grace_s=2.0)
+        due = self.NOW + 0.002
+        if timer == "kill":
+            ticket = self._ticket(deadline=due - pool.kill_grace_s)
+            pool._workers = [SimpleNamespace(inflight=[ticket])]
+        else:
+            pool._pending.append(self._ticket(**{timer: due}))
+        assert pool._next_wait_locked(self.NOW) <= 0.002
 
 
 class TestDeadlines:
