@@ -29,6 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 
+from repro.errors import ReproError
 from repro.machine.machine import MicroArchitecture
 from repro.machine.registers import GPR
 from repro.registry import register_generator
@@ -46,6 +47,12 @@ SIMPL_BASE = 0x0140
 EMPL_BASE = 0x6000   # the front end's data_base default
 MPL_BASE = 0x6800    # the front end's data_base default
 REGION_WORDS = 8
+
+
+class GeneratorRefusal(ReproError):
+    """A generator cannot target a machine (no supported ALU op, or an
+    allocatable register pool too small for the plan's roles).  The
+    harness skips the (language, machine) pair and reports it."""
 
 
 @dataclass(frozen=True)
@@ -203,7 +210,7 @@ def _machine_pools(
     registers = [r.name for r in machine.registers.allocatable(GPR)]
     alu = [op for op, micro in _ALU_OPS.items() if machine.has_op(micro)]
     if not alu:
-        raise ValueError(
+        raise GeneratorRefusal(
             f"machine {machine.name!r} supports none of the difftest "
             f"ALU ops ({', '.join(_ALU_OPS.values())})"
         )
@@ -376,7 +383,7 @@ def _register_split(
     rng.shuffle(pool)
     n_vars = min(3, len(pool) - 3 - reserve)
     if n_vars < 2:
-        raise ValueError(
+        raise GeneratorRefusal(
             f"register pool too small for difftest generation: {registers}"
         )
     variables = pool[:n_vars]

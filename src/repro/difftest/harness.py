@@ -21,9 +21,9 @@ a smaller program — and written to the corpus directory as a
 self-contained JSON repro file.
 
 :func:`self_check` closes the loop on the harness itself: it plants a
-semantic bug into the pre-decoded engine (monkeypatching one entry of
-``repro.sim.decode._LOGIC``) and asserts the campaign both *finds*
-and *shrinks* it, then plants a one-bit miscompile into the trace
+semantic bug into the pre-decoded engine (``repro.sim.decode.PLANT_XOR``
+flips bit 0 of every decoded ``xor`` result) and asserts the campaign
+both *finds* and *shrinks* it, then plants a one-bit miscompile into the trace
 stitcher (``repro.sim.trace.PLANT_RESULT_XOR``) and asserts the
 ``traced`` axis catches that too, then corrupts one lane of the
 batched lockstep driver (``repro.sim.batch.PLANT_LANE_XOR``) and
@@ -39,7 +39,7 @@ import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.difftest.generators import generate_case
+from repro.difftest.generators import GeneratorRefusal, generate_case
 from repro.difftest.oracle import Divergence, run_axis
 from repro.difftest.reducer import reduce_source
 from repro.obs.aggregate import CampaignMetrics
@@ -68,6 +68,9 @@ class DifftestReport:
     #: axis name -> number of pairs actually executed.
     pairs_run: dict = field(default_factory=dict)
     divergences: list[Divergence] = field(default_factory=list)
+    #: ``(lang, machine)`` -> ``[reason, cases skipped]`` for pairs the
+    #: generator refused to target.
+    refused: dict = field(default_factory=dict)
     #: Repro files written, in divergence order.
     corpus_files: list[str] = field(default_factory=list)
     #: Shard-mergeable rollup of the campaign's tallies (``cases``,
@@ -89,6 +92,12 @@ class DifftestReport:
             "axes": list(self.axes),
             "cases_run": self.cases_run,
             "pairs_run": dict(sorted(self.pairs_run.items())),
+            "refused": [
+                {"lang": lang, "machine": machine, "reason": reason,
+                 "cases": cases}
+                for (lang, machine), (reason, cases)
+                in sorted(self.refused.items())
+            ],
             "divergences": [
                 {
                     "lang": d.case.lang,
@@ -115,6 +124,11 @@ class DifftestReport:
                 for axis in self.axes
             ),
         ]
+        for (lang, machine), (reason, cases) in sorted(self.refused.items()):
+            lines.append(
+                f"  refused: {lang} on {machine} ({cases} cases skipped): "
+                f"{reason}"
+            )
         if self.clean:
             lines.append(
                 f"  {self.cases_run} cases, no divergence on any axis"
@@ -216,9 +230,17 @@ def run_difftest(
             lang = langs[index % len(langs)]
             machine_name = machines[(index // len(langs)) % len(machines)]
             case_seed = seed * 1_000_003 + index
-            case = generate_case(
-                lang, build_machine(machine_name), case_seed, size=size,
-            )
+            try:
+                case = generate_case(
+                    lang, build_machine(machine_name), case_seed, size=size,
+                )
+            except GeneratorRefusal as refusal:
+                entry = report.refused.setdefault(
+                    (lang, machine_name), [str(refusal), 0]
+                )
+                entry[1] += 1
+                report.metrics.difftest.inc("refused")
+                continue
             report.cases_run += 1
             report.metrics.difftest.inc("cases")
             case_axes = [
@@ -266,9 +288,9 @@ def self_check(
 ) -> DifftestReport:
     """Prove the harness detects and shrinks planted engine bugs.
 
-    Two plants, two phases.  Phase one plants ``xor ->
-    xor-then-flip-bit-0`` into the pre-decoded engine's operator
-    table (the interpretive engine is untouched) and runs an
+    Three plants, three phases.  Phase one plants ``xor ->
+    xor-then-flip-bit-0`` into the pre-decoded engine's spec-rendered
+    ``xor`` step (the interpretive engine is untouched) and runs an
     engine-axis campaign.  Every generated program ends in an xor
     fold, so the bug is reachable from every case; the campaign must
     come back with at least one divergence, and the *first* one is
@@ -297,8 +319,7 @@ def self_check(
     # generated program costs minutes of oracle re-runs for no extra
     # evidence.
     size = 10 if size is None else size
-    pristine = decode._LOGIC["xor"]
-    decode._LOGIC["xor"] = lambda a, b: (a ^ b) ^ 1
+    decode.PLANT_XOR = 1
     try:
         report = run_difftest(
             seed=seed, budget=budget, axes=("engine",),
@@ -322,7 +343,7 @@ def self_check(
                 "planted divergence"
             )
     finally:
-        decode._LOGIC["xor"] = pristine
+        decode.PLANT_XOR = 0
     if run_axis("engine", first.case.with_source(reduced)) is not None:
         raise AssertionError(
             "self-check: reduced program still diverges on the pristine "

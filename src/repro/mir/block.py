@@ -9,6 +9,7 @@ over which all the survey's composition algorithms operate ("a minimal
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from repro.errors import MIRError
 from repro.mir.operands import Reg
@@ -84,12 +85,18 @@ class MaskCase:
 
     def matches(self, value: int) -> bool:
         """Whether a register value matches this mask."""
-        for position, bit in enumerate(reversed(self.mask)):
-            if bit == "x":
-                continue
-            if ((value >> position) & 1) != int(bit):
-                return False
-        return True
+        care, want = mask_bits(self.mask)
+        return value & care == want
+
+
+@lru_cache(maxsize=None)
+def mask_bits(mask: str) -> tuple[int, int]:
+    """``(care, want)`` for a ternary mask: a value matches iff
+    ``value & care == want``.  Memoised per mask string, so nothing
+    is stored on :class:`MaskCase` (its pickles stay unchanged)."""
+    care = int(mask.replace("0", "1").replace("x", "0"), 2)
+    want = int(mask.replace("x", "0"), 2)
+    return care, want
 
 
 @dataclass(frozen=True)

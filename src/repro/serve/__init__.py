@@ -27,8 +27,8 @@ built robustness-first:
   behind busy workers dispatch together (up to ``batch_max_lanes``)
   as one lockstep struct-of-arrays batch (:mod:`repro.sim.batch`)
   inside a single worker, with results demultiplexed back per
-  request — byte-identical to scalar execution, admission mirroring
-  ``batch_refusal``.
+  request — byte-identical to scalar execution, admission decided by
+  ``engine_refusal``.
 * **Graceful drain** — ``SIGTERM`` stops admission, finishes
   in-flight work, then exits; ``/healthz`` and ``/metrics`` report
   queue depths, breaker states, worker restarts and the campaign

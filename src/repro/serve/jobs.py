@@ -103,28 +103,32 @@ def dedup_key(job: dict) -> str:
 BATCH_LANE_FIELDS = ("set", "mem", "show")
 
 
-def batch_refused(job: dict) -> str | None:
+def batch_refused(job: dict, lanes: int = 8) -> str | None:
     """Why a job must run scalar in the pool — None when batchable.
 
-    The serve-side mirror of :func:`repro.sim.batch.batch_refusal`'s
-    admission discipline: anything that cannot share a lockstep lane
-    without changing its response runs scalar, so batched responses
-    stay byte-identical to serial execution.  An *explicit*
-    ``deadline_s`` refuses batching because the lockstep driver does
-    no per-lane wall-clock accounting — such a request keeps today's
-    precise in-simulator deadline semantics; default-deadline traffic
-    batches under the ``max_cycles`` budget with the supervisor's
-    deadline kill as the backstop.
+    Only the job-kind filters live here (``op``, ``chaos``); the rest
+    is :func:`repro.sim.admission.engine_refusal`, asked for a batch of
+    up to ``lanes`` (the service's ``batch_max_lanes``) before any
+    machine is built — the worker's ``run_cases`` checks the
+    machine-side conditions again.  Anything that cannot share a
+    lockstep lane without changing its response runs scalar, so
+    batched responses stay byte-identical to serial execution.  An
+    *explicit* ``deadline_s`` refuses batching because the lockstep
+    driver does no per-lane wall-clock accounting — such a request
+    keeps precise in-simulator deadline semantics; default-deadline
+    traffic batches under the ``max_cycles`` budget with the
+    supervisor's deadline kill as the backstop.
     """
+    from repro.sim.admission import engine_refusal
+
     if job.get("op") != "run":
         return "op"
     if job.get("chaos"):
         return "chaos"
-    if "deadline_s" in job:
-        return "deadline"
-    if job.get("engine", "decoded") != "decoded":
-        return f"engine={job.get('engine')}"
-    return None
+    return engine_refusal(
+        job.get("engine", "decoded"), lanes=lanes,
+        deadline_s=job.get("deadline_s"),
+    )
 
 
 def batch_group_key(job: dict) -> str:

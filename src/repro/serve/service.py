@@ -32,7 +32,7 @@ runs that queued up behind busy workers and share a batch group key
 (same program, machine, engine and options — only
 ``set``/``mem``/``show`` may differ) dispatch together, as one
 lockstep struct-of-arrays execution of up to ``batch_max_lanes``
-lanes (:mod:`repro.sim.batch`).  Admission mirrors ``batch_refusal``:
+lanes (:mod:`repro.sim.batch`).  Admission is ``engine_refusal``'s:
 anything that cannot share a lane without observable divergence —
 chaos hooks, non-decoded engines, an *explicit* client deadline —
 runs scalar, so per-request responses stay byte-identical to serial
@@ -285,7 +285,7 @@ class ReproService:
         self._active[job_class] += 1
         batch_key = None
         if job_class == "run" and self.config.batch_max_lanes > 1:
-            refusal = batch_refused(job)
+            refusal = batch_refused(job, self.config.batch_max_lanes)
             if refusal is None:
                 batch_key = batch_group_key(job)
             else:

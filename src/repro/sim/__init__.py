@@ -4,9 +4,9 @@ from repro.sim.batch import (
     BatchCase,
     BatchedState,
     LaneOutcome,
-    batch_refusal,
     run_cases,
 )
+from repro.sim.admission import engine_refusal
 from repro.sim.memory import MainMemory, Scratchpad
 from repro.sim.semantics import STATEFUL_OPS, condition_holds, evaluate
 from repro.sim.simulator import RunResult, Simulator
@@ -26,8 +26,8 @@ __all__ = [
     "StateBackend",
     "TraceJIT",
     "TraceStats",
-    "batch_refusal",
     "condition_holds",
+    "engine_refusal",
     "evaluate",
     "run_cases",
 ]

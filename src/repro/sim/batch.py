@@ -5,11 +5,13 @@ case*; a million-case campaign is a million interpreter loops.  This
 module holds N independent cases as **struct-of-arrays** — every
 register and flag becomes a lane vector — and drives them in lockstep
 through batched execution plans: one step closure per placed op per
-microinstruction, each operating on whole lane vectors (numpy when
-available, a pure-Python list vector otherwise), so the Python-level
-dispatch cost is amortised across the batch.  This is the structural
-move that makes VADL-style generated simulators fast, applied to the
-pre-decoded engine of :mod:`repro.sim.decode`.
+microinstruction, each operating on whole numpy lane vectors, so the
+Python-level dispatch cost is amortised across the batch.  This is the
+structural move that makes VADL-style generated simulators fast,
+applied to the pre-decoded engine of :mod:`repro.sim.decode`: the ALU
+steps *are* the decoded engine's (rendered from :mod:`repro.sim.alu`),
+run on vectors; only memory, scratchpad, sequencing and the per-lane
+``evaluate`` fallback are lane-specific here.
 
 **Lockstep invariant.**  While lanes are live they share one
 microprogram counter, one cycle count and one micro return stack —
@@ -29,15 +31,12 @@ run by construction.  Batch-wide events (budget exhaustion, a shared
 stack overflow, an unsupported word) peel every live lane the same
 way.
 
-**Admission.**  Batching only engages for clean homogeneous work:
-a fault injector, a profile recorder, a trace sink, an interrupt
-source, a wall-clock deadline or a banked register file all refuse
-admission (:func:`batch_refusal`) and every lane runs scalar — the
-same disengage discipline as the trace JIT.  Fault-campaign scenario
-runs always carry injectors, so ``--batch N`` campaigns stay
-byte-identical to serial at every batch size; the batched win lands
-on clean sweeps (golden-style runs, difftest lanes, benchmark
-workloads).
+**Admission.**  Batching only engages for clean homogeneous work;
+:func:`~repro.sim.admission.engine_refusal` is the one rule (a
+missing numpy, a non-decoded engine and a banked register file refuse
+too), and a refused batch runs every lane on the scalar engine —
+byte-identical by construction.  The batched win lands on clean
+sweeps (golden-style runs, difftest lanes, benchmark workloads).
 
 ``PLANT_LANE_XOR`` is the self-check hook: when non-zero, every
 batched register commit XORs lane 0's value with it — a one-lane
@@ -46,7 +45,6 @@ batch-state corruption the difftest ``batched`` axis must catch.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -60,22 +58,18 @@ from repro.mir.block import (
     Jump,
     Multiway,
     Ret,
+    mask_bits,
 )
 from repro.mir.operands import Reg
-from repro.sim.decode import _COND_TESTS
+from repro.sim.admission import HAVE_NUMPY, engine_refusal
+from repro.sim.admission import numpy as _np
+from repro.sim.alu import step_factory
+from repro.sim.decode import _COND_TESTS, inlines_alu
 from repro.sim.memory import MainMemory, Scratchpad
 from repro.sim.semantics import evaluate
 from repro.sim.simulator import RunResult, Simulator
 from repro.sim.state import MachineState
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via backend="python"
-    _np = None
-
-#: True when the numpy backend is importable; the pure-Python vector
-#: fallback keeps a stdlib-only install fully functional.
-HAVE_NUMPY = _np is not None
 
 #: Self-check plant: when non-zero, every batched register commit
 #: XORs lane 0's committed value with this (see module docstring).
@@ -85,115 +79,23 @@ PLANT_LANE_XOR = 0
 DEFAULT_LANES = 64
 
 
-# ----------------------------------------------------------------------
-# Vector backends
-# ----------------------------------------------------------------------
-class _PyVec(list):
-    """A list with elementwise operators: the pure-Python lane vector.
-
-    Implements exactly the operator surface the batched step closures
-    use (`+ - & | ^ >> * == >`), each returning a fresh ``_PyVec`` of
-    ints (comparisons yield 0/1), so the same step code drives numpy
-    arrays and Python lists unchanged.
-    """
-
-    def _zip(self, other, fn):
-        if isinstance(other, list):
-            return _PyVec(fn(a, b) for a, b in zip(self, other))
-        return _PyVec(fn(a, other) for a in self)
-
-    def __add__(self, other):
-        return self._zip(other, operator.add)
-
-    def __radd__(self, other):
-        return self._zip(other, lambda a, b: b + a)
-
-    def __sub__(self, other):
-        return self._zip(other, operator.sub)
-
-    def __rsub__(self, other):
-        return self._zip(other, lambda a, b: b - a)
-
-    def __and__(self, other):
-        return self._zip(other, operator.and_)
-
-    def __or__(self, other):
-        return self._zip(other, operator.or_)
-
-    def __xor__(self, other):
-        return self._zip(other, operator.xor)
-
-    def __rshift__(self, other):
-        return self._zip(other, operator.rshift)
-
-    def __mul__(self, other):
-        return self._zip(other, operator.mul)
-
-    def __rmul__(self, other):
-        return self._zip(other, lambda a, b: b * a)
-
-    def __eq__(self, other):  # type: ignore[override]
-        return self._zip(other, lambda a, b: int(a == b))
-
-    def __ne__(self, other):  # type: ignore[override]
-        return self._zip(other, lambda a, b: int(a != b))
-
-    def __gt__(self, other):  # type: ignore[override]
-        return self._zip(other, lambda a, b: int(a > b))
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def any(self) -> bool:
-        return any(v for v in list.__iter__(self))
-
-    def all(self) -> bool:
-        return all(v for v in list.__iter__(self))
+def _full(n: int, value: int):
+    return _np.full(n, value, dtype=_np.int64)
 
 
-class _NumpyOps:
-    """Vector constructors for the numpy backend."""
-
-    name = "numpy"
-
-    def full(self, n: int, value: int):
-        return _np.full(n, value, dtype=_np.int64)
-
-    def vector(self, values):
-        return _np.array(values, dtype=_np.int64)
-
-
-class _PythonOps:
-    """Vector constructors for the pure-Python backend."""
-
-    name = "python"
-
-    def full(self, n: int, value: int):
-        return _PyVec([value] * n)
-
-    def vector(self, values):
-        return _PyVec(values)
+def _vector(values):
+    return _np.array(values, dtype=_np.int64)
 
 
 def resolve_backend(backend: str = "auto") -> str:
-    """``"numpy"`` or ``"python"`` — never raises on a missing numpy.
-
-    ``"auto"`` prefers numpy when importable; asking for ``"numpy"``
-    without it installed quietly selects the pure-Python fallback so a
-    stdlib-only install keeps working (the ``[batch]`` extra in
-    ``pyproject.toml`` installs the fast path).
-    """
-    if backend == "python":
-        return "python"
-    if backend in ("auto", "numpy"):
-        return "numpy" if HAVE_NUMPY else "python"
-    raise SimulationError(
-        f"unknown batch backend {backend!r} "
-        f"(expected 'auto', 'numpy' or 'python')"
-    )
-
-
-def _ops(backend: str):
-    return _NumpyOps() if resolve_backend(backend) == "numpy" else _PythonOps()
+    """The lane-vector backend ``"auto"`` selects: ``"numpy"``, or
+    ``"scalar"`` when numpy is missing and every batch is refused
+    (reason ``"no-numpy"``) onto the scalar engine."""
+    if backend != "auto":
+        raise SimulationError(
+            f"unknown batch backend {backend!r} (expected 'auto')"
+        )
+    return "numpy" if HAVE_NUMPY else "scalar"
 
 
 # ----------------------------------------------------------------------
@@ -265,7 +167,7 @@ class _DenseLaneView:
 class _DenseMemory:
     """All lanes' main memory as one (lanes, size) numpy array.
 
-    Only used on the numpy backend with paging disabled — the regime
+    Used whenever paging is disabled — the regime
     where no memory touch can trap, so reads and writes are single
     fancy-indexing operations across the batch.
     """
@@ -309,7 +211,7 @@ class _DenseMemory:
 
 
 class _LaneMemories:
-    """Per-lane :class:`MainMemory` objects (paging or pure-Python).
+    """Per-lane :class:`MainMemory` objects (paging enabled).
 
     Reads and writes loop over live lanes; a :class:`MicroTrap` or
     address error in one lane peels that lane and leaves the rest in
@@ -333,7 +235,7 @@ class _LaneMemories:
                 values[lane] = self.memories[lane].read(int(addrs[lane]))
             except (MicroTrap, SimulationError):
                 state.peel(lane, "trap")
-        return state.ops.vector(values)
+        return _vector(values)
 
     def write_vec(self, state: BatchedState, addrs, values) -> None:
         for lane in state.live_lanes():
@@ -380,19 +282,18 @@ class BatchedState:
     which lanes are still following the batch leader.
     """
 
-    def __init__(self, machine, n: int, ops, *, paging: bool = False):
+    def __init__(self, machine, n: int, *, paging: bool = False):
         self.machine = machine
         self.n = n
-        self.ops = ops
         self.registers = {
-            register.name: ops.full(n, register.reset)
+            register.name: _full(n, register.reset)
             for register in machine.registers
         }
-        self.flags = {flag: ops.full(n, 0) for flag in machine.flags}
+        self.flags = {flag: _full(n, 0) for flag in machine.flags}
         self.live = [True] * n
-        self.live_vec = ops.full(n, 1)
+        self.live_vec = _full(n, 1)
         self.peeled: dict[int, str] = {}
-        if ops.name == "numpy" and not paging:
+        if not paging:
             self.memory = _DenseMemory(n)
         else:
             self.memory = _LaneMemories(n, paging=paging)
@@ -440,7 +341,7 @@ class BatchedState:
 
     def poke_constant(self, name: str, value: int) -> None:
         register = self.machine.registers[name]
-        self.registers[name] = self.ops.full(self.n, value & register.mask)
+        self.registers[name] = _full(self.n, value & register.mask)
 
     def init_register(self, lane: int, name: str, value: int) -> None:
         """Loader-level per-lane poke with ``write_reg`` checking."""
@@ -466,7 +367,7 @@ def _b_src_reader(state: BatchedState, operand):
     including the raises).
     """
     if not isinstance(operand, Reg):
-        constant = state.ops.full(state.n, operand.value)
+        constant = _full(state.n, operand.value)
         return lambda b: constant
     name = operand.name
     files = state.machine.registers
@@ -527,7 +428,7 @@ def _b_step_ldscr(read_addr, target, mask):
                 values[lane] = b.scratchpads[lane].read(int(addrs[lane]))
             except SimulationError:
                 b.peel(lane, "scratchpad")
-        reg_writes.append((target, mask, b.ops.vector(values)))
+        reg_writes.append((target, mask, _vector(values)))
 
     return step
 
@@ -545,83 +446,6 @@ def _b_step_stscr(read_value, read_addr):
                     b.peel(lane, "scratchpad")
 
         memory_ops.append(commit)
-
-    return step
-
-
-def _b_step_mov(read_src, target, mask, word_mask):
-    def step(b, reg_writes, flag_writes, memory_ops):
-        reg_writes.append((target, mask, read_src(b) & word_mask))
-
-    return step
-
-
-def _b_step_add(read_a, read_b, target, mask, word_mask, sign_shift):
-    def step(b, reg_writes, flag_writes, memory_ops):
-        total = (read_a(b) & word_mask) + (read_b(b) & word_mask)
-        value = total & word_mask
-        reg_writes.append((target, mask, value))
-        flag_writes["Z"] = (value == 0) * 1
-        flag_writes["N"] = (value >> sign_shift) & 1
-        flag_writes["C"] = (total > word_mask) * 1
-
-    return step
-
-
-def _b_step_sub(read_a, read_b, target, mask, word_mask, sign_shift):
-    def step(b, reg_writes, flag_writes, memory_ops):
-        total = (
-            (read_a(b) & word_mask)
-            + ((read_b(b) ^ word_mask) & word_mask) + 1
-        )
-        value = total & word_mask
-        reg_writes.append((target, mask, value))
-        flag_writes["Z"] = (value == 0) * 1
-        flag_writes["N"] = (value >> sign_shift) & 1
-        flag_writes["C"] = (total > word_mask) * 1
-
-    return step
-
-
-def _b_step_cmp(read_a, read_b, word_mask, sign_shift):
-    def step(b, reg_writes, flag_writes, memory_ops):
-        total = (
-            (read_a(b) & word_mask)
-            + ((read_b(b) ^ word_mask) & word_mask) + 1
-        )
-        value = total & word_mask
-        flag_writes["Z"] = (value == 0) * 1
-        flag_writes["N"] = (value >> sign_shift) & 1
-        flag_writes["C"] = (total > word_mask) * 1
-
-    return step
-
-
-def _b_step_incdec(read_a, target, mask, word_mask, sign_shift, delta):
-    def step(b, reg_writes, flag_writes, memory_ops):
-        total = (read_a(b) & word_mask) + delta
-        value = total & word_mask
-        reg_writes.append((target, mask, value))
-        flag_writes["Z"] = (value == 0) * 1
-        flag_writes["N"] = (value >> sign_shift) & 1
-        flag_writes["C"] = (total > word_mask) * 1
-
-    return step
-
-
-_LOGIC = {
-    "and": lambda a, b: a & b,
-    "or": lambda a, b: a | b,
-    "xor": lambda a, b: a ^ b,
-}
-
-
-def _b_step_logic(fn, read_a, read_b, target, mask, word_mask, sign_shift):
-    def step(b, reg_writes, flag_writes, memory_ops):
-        value = fn(read_a(b) & word_mask, read_b(b) & word_mask)
-        reg_writes.append((target, mask, value))
-        flag_writes["Z"] = (value == 0) * 1
-        flag_writes["N"] = (value >> sign_shift) & 1
 
     return step
 
@@ -665,9 +489,9 @@ def _b_step_generic(name, readers, has_dest, commit, read_old, width):
             for flag, value in result.flags.items():
                 flag_cols.setdefault(flag, [0] * b.n)[lane] = value
         if wrote_value and has_dest:
-            reg_writes.append((commit[0], commit[1], b.ops.vector(values)))
+            reg_writes.append((commit[0], commit[1], _vector(values)))
         for flag, column in flag_cols.items():
-            flag_writes[flag] = b.ops.vector(column)
+            flag_writes[flag] = _vector(column)
 
     return step
 
@@ -700,29 +524,16 @@ def _b_decode_op(state: BatchedState, placed):
     if name == "stscr":
         return _b_step_stscr(readers[0], readers[1])
 
-    word_mask = machine.mask()
-    sign_shift = machine.word_size - 1
-    if op.dest is not None:
-        target, mask = _b_dest_slot(state, op.dest.name)
-        if name in ("mov", "movi"):
-            return _b_step_mov(readers[0], target, mask, word_mask)
-        if name == "add":
-            return _b_step_add(readers[0], readers[1], target, mask,
-                               word_mask, sign_shift)
-        if name == "sub":
-            return _b_step_sub(readers[0], readers[1], target, mask,
-                               word_mask, sign_shift)
-        if name == "inc":
-            return _b_step_incdec(readers[0], target, mask, word_mask,
-                                  sign_shift, 1)
-        if name == "dec":
-            return _b_step_incdec(readers[0], target, mask, word_mask,
-                                  sign_shift, word_mask)
-        if name in _LOGIC:
-            return _b_step_logic(_LOGIC[name], readers[0], readers[1],
-                                 target, mask, word_mask, sign_shift)
-    if name == "cmp":
-        return _b_step_cmp(readers[0], readers[1], word_mask, sign_shift)
+    if inlines_alu(machine.registers, op):
+        # The decoded engine's own spec-rendered step, run on vectors.
+        target, mask = (
+            _b_dest_slot(state, op.dest.name) if op.dest is not None
+            else ("", None)
+        )
+        return step_factory(name)(
+            readers[0], readers[-1], target, mask, machine.mask(),
+            machine.word_size - 1,
+        )
 
     if op.dest is not None:
         commit = _b_dest_slot(state, op.dest.name)
@@ -785,22 +596,18 @@ def _b_decode_terminator(state, terminator, address, resident):
     if isinstance(terminator, Multiway):
         read_value = _b_src_reader(state, terminator.reg)
         cases = tuple(
-            (case.matches, resolve(case.target)) for case in terminator.cases
+            (*mask_bits(case.mask), resolve(case.target))
+            for case in reversed(terminator.cases)
         )
         default = resolve(terminator.default)
 
         def seq_multiway(b):
             values = read_value(b)
-            targets = [0] * b.n
-            for lane in b.live_lanes():
-                value = int(values[lane])
-                for matches, target in cases:
-                    if matches(value):
-                        targets[lane] = target
-                        break
-                else:
-                    targets[lane] = default
-            b.settle(b.ops.vector(targets), "multiway")
+            targets = _full(b.n, default)
+            # Last to first, so the first matching arm wins.
+            for care, want, target in cases:
+                targets = _np.where(values & care == want, target, targets)
+            b.settle(targets, "multiway")
 
         return seq_multiway
 
@@ -899,53 +706,10 @@ def _b_decode_word(state, loaded, resident, address) -> _BatchPlan:
 
 
 # ----------------------------------------------------------------------
-# Admission
-# ----------------------------------------------------------------------
-def batch_refusal(
-    machine,
-    *,
-    lanes: int,
-    engine: str = "decoded",
-    injector: bool = False,
-    recorder: bool = False,
-    trace: bool = False,
-    interrupt_every: int | None = None,
-    deadline_s: float | None = None,
-) -> str | None:
-    """Why a batch must run scalar — None when lockstep may engage.
-
-    Mirrors the trace JIT's disengage discipline: anything that needs
-    per-microinstruction visibility (an injector substituting words, a
-    profile recorder, a trace sink, an interrupt source) or per-lane
-    wall-clock accounting refuses batching, as does a banked register
-    file (bank pointers are per-lane dynamic state the lockstep
-    decoder does not model).
-    """
-    if lanes <= 1:
-        return "batch=1"
-    if engine != "decoded":
-        return f"engine={engine}"
-    if injector:
-        return "injector"
-    if recorder:
-        return "recorder"
-    if trace:
-        return "trace"
-    if interrupt_every:
-        return "interrupt_every"
-    if deadline_s is not None:
-        return "deadline"
-    files = machine.registers
-    if files.windows or files.bank_pointer:
-        return "banked-windows"
-    return None
-
-
-# ----------------------------------------------------------------------
 # Drivers
 # ----------------------------------------------------------------------
 def _run_lockstep(
-    machine, loaded, cases, *, ops, paging, max_cycles,
+    machine, loaded, cases, *, paging, max_cycles,
 ) -> list[LaneOutcome | None]:
     """Drive one homogeneous chunk in lockstep.
 
@@ -956,7 +720,7 @@ def _run_lockstep(
     store = ControlStore(machine)
     resident = store.load(loaded)
     n = len(cases)
-    b = BatchedState(machine, n, ops, paging=paging)
+    b = BatchedState(machine, n, paging=paging)
     for lane, case in enumerate(cases):
         # A lane whose initial pokes are invalid (unknown register,
         # windowed name, out-of-range load) peels to the scalar path,
@@ -1092,26 +856,25 @@ def run_cases(
     trap_service=None,
     interrupt_handler=None,
     max_cycles: int = 1_000_000,
-    backend: str = "auto",
 ) -> list[LaneOutcome]:
     """Run homogeneous cases through the lockstep driver, batch-wise.
 
     Cases are chunked into batches of ``batch`` lanes; lanes that peel
-    (or a refused admission — see :func:`batch_refusal`) replay on the
-    scalar decoded engine, and results merge back **in case order**.
-    ``batch=1`` is exactly today's scalar behaviour.  Exceptions a
+    (or a refused admission — see
+    :func:`~repro.sim.admission.engine_refusal`) replay on the scalar
+    engine, and results merge back **in case order**.  ``batch=1`` is
+    exactly the scalar behaviour.  Exceptions a
     lane's run raises are captured per lane in
     :attr:`LaneOutcome.error`, never propagated, so a batch with one
     runaway lane still reports the other N-1.
     """
-    reason = batch_refusal(machine, lanes=batch, engine=engine)
+    reason = engine_refusal(engine, machine, lanes=batch)
     outcomes: list[LaneOutcome | None] = [None] * len(cases)
     if reason is None:
-        ops = _ops(backend)
         for start in range(0, len(cases), batch):
             chunk = list(cases[start:start + batch])
             for offset, lane in enumerate(_run_lockstep(
-                machine, loaded, chunk, ops=ops, paging=paging,
+                machine, loaded, chunk, paging=paging,
                 max_cycles=max_cycles,
             )):
                 outcomes[start + offset] = lane

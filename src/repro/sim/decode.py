@@ -12,8 +12,9 @@ This module lowers a :class:`~repro.asm.assembler.LoadedWord` into an
 :class:`ExecutionPlan`: phase-grouped tuples of *step closures* with
 operand readers pre-bound (immediates inlined as constants, registers
 resolved to direct slot lookups where the machine's banking allows),
-semantics pre-dispatched (the hot ALU orders are inlined; the rest
-pre-bind :func:`repro.sim.semantics.evaluate`), the microinstruction's
+semantics pre-dispatched (the hot ALU orders take the step closures
+rendered from :mod:`repro.sim.alu`'s spec; the rest pre-bind
+:func:`repro.sim.semantics.evaluate`), the microinstruction's
 cycle count pre-computed, and the terminator compiled to a single
 sequencing closure with label lookups already resolved to absolute
 control-store addresses.  The hot loop then becomes "fetch plan, run
@@ -54,8 +55,10 @@ from repro.mir.block import (
     Jump,
     Multiway,
     Ret,
+    mask_bits,
 )
 from repro.mir.operands import Reg
+from repro.sim.alu import ALU_SPEC, step_factory
 from repro.sim.semantics import condition_holds, evaluate
 from repro.sim.state import StateBackend
 
@@ -64,6 +67,11 @@ from repro.sim.state import StateBackend
 #: ``flag_writes``, raise a :class:`~repro.errors.MicroTrap`, and
 #: returns truthy iff it serviced a pending interrupt (``poll``).
 Step = Callable[..., object]
+
+#: Self-check plant: when non-zero, every decoded ``xor`` step XORs its
+#: result with this — a semantic bug in the decoded engine alone, which
+#: the difftest ``engine`` axis must catch.  0 in normal operation.
+PLANT_XOR = 0
 
 #: Branch conditions compiled to a direct flag test; anything else
 #: falls back to :func:`condition_holds` (and raises identically for
@@ -241,6 +249,21 @@ def _dest_slot(files, name: str) -> tuple[str, int | None]:
     return (name, register.mask)
 
 
+def inlines_alu(files, op) -> bool:
+    """Whether an op takes its :data:`~repro.sim.alu.ALU_SPEC` inline
+    form — the one predicate the decoded steps and the trace stitcher
+    share.  Only results that commit to a plain writable register
+    inline; windows, read-only and missing destinations take the
+    generic ``evaluate`` path so error behaviour matches the
+    interpreter."""
+    spec = ALU_SPEC.get(op.op)
+    if spec is None:
+        return False
+    if not spec.writes:
+        return True
+    return op.dest is not None and _dest_slot(files, op.dest.name)[1] is not None
+
+
 # ----------------------------------------------------------------------
 # Step factories
 # ----------------------------------------------------------------------
@@ -305,77 +328,6 @@ def _step_setblk(read_value, pointer: str | None, mask: int | None) -> Step:
     return step
 
 
-def _step_mov(read_src, target, mask, word_mask) -> Step:
-    def step(state, reg_writes, flag_writes, memory_ops):
-        reg_writes.append((target, mask, read_src(state) & word_mask))
-
-    return step
-
-
-def _step_add(read_a, read_b, target, mask, word_mask, sign_shift) -> Step:
-    def step(state, reg_writes, flag_writes, memory_ops):
-        total = (read_a(state) & word_mask) + (read_b(state) & word_mask)
-        value = total & word_mask
-        reg_writes.append((target, mask, value))
-        flag_writes["Z"] = int(value == 0)
-        flag_writes["N"] = (value >> sign_shift) & 1
-        flag_writes["C"] = int(total > word_mask)
-
-    return step
-
-
-def _step_sub(read_a, read_b, target, mask, word_mask, sign_shift) -> Step:
-    def step(state, reg_writes, flag_writes, memory_ops):
-        total = (read_a(state) & word_mask) + ((read_b(state) ^ word_mask) & word_mask) + 1
-        value = total & word_mask
-        reg_writes.append((target, mask, value))
-        flag_writes["Z"] = int(value == 0)
-        flag_writes["N"] = (value >> sign_shift) & 1
-        flag_writes["C"] = int(total > word_mask)
-
-    return step
-
-
-def _step_cmp(read_a, read_b, word_mask, sign_shift) -> Step:
-    def step(state, reg_writes, flag_writes, memory_ops):
-        total = (read_a(state) & word_mask) + ((read_b(state) ^ word_mask) & word_mask) + 1
-        value = total & word_mask
-        flag_writes["Z"] = int(value == 0)
-        flag_writes["N"] = (value >> sign_shift) & 1
-        flag_writes["C"] = int(total > word_mask)
-
-    return step
-
-
-def _step_incdec(read_a, target, mask, word_mask, sign_shift, delta) -> Step:
-    def step(state, reg_writes, flag_writes, memory_ops):
-        total = (read_a(state) & word_mask) + delta
-        value = total & word_mask
-        reg_writes.append((target, mask, value))
-        flag_writes["Z"] = int(value == 0)
-        flag_writes["N"] = (value >> sign_shift) & 1
-        flag_writes["C"] = int(total > word_mask)
-
-    return step
-
-
-_LOGIC = {
-    "and": lambda a, b: a & b,
-    "or": lambda a, b: a | b,
-    "xor": lambda a, b: a ^ b,
-}
-
-
-def _step_logic(fn, read_a, read_b, target, mask, word_mask, sign_shift) -> Step:
-    def step(state, reg_writes, flag_writes, memory_ops):
-        value = fn(read_a(state) & word_mask, read_b(state) & word_mask)
-        reg_writes.append((target, mask, value))
-        flag_writes["Z"] = int(value == 0)
-        flag_writes["N"] = (value >> sign_shift) & 1
-
-    return step
-
-
 def _step_generic(name, readers, dest, commit, read_old, width) -> Step:
     """Fallback for ops without an inlined specialization: pre-bound
     :func:`evaluate` call with the interpreter's exact argument set."""
@@ -426,34 +378,15 @@ def _decode_op(simulator, placed) -> Step | None:
         target, mask = _dest_slot(files, pointer)
         return _step_setblk(readers[0], target, mask)
 
-    word_mask = machine.mask()
-    sign_shift = machine.word_size - 1
-    # Inline specializations are only taken when the destination is a
-    # plain writable register (direct slot commit); anything trickier
-    # — windows, read-only, missing dest — takes the generic path so
-    # error behaviour stays identical to the interpreter.
-    if op.dest is not None:
-        target, mask = _dest_slot(files, op.dest.name)
-        if mask is not None:
-            if name in ("mov", "movi"):
-                return _step_mov(readers[0], target, mask, word_mask)
-            if name == "add":
-                return _step_add(readers[0], readers[1], target, mask,
-                                 word_mask, sign_shift)
-            if name == "sub":
-                return _step_sub(readers[0], readers[1], target, mask,
-                                 word_mask, sign_shift)
-            if name == "inc":
-                return _step_incdec(readers[0], target, mask, word_mask,
-                                    sign_shift, 1)
-            if name == "dec":
-                return _step_incdec(readers[0], target, mask, word_mask,
-                                    sign_shift, word_mask)
-            if name in _LOGIC:
-                return _step_logic(_LOGIC[name], readers[0], readers[1],
-                                   target, mask, word_mask, sign_shift)
-    if name == "cmp":
-        return _step_cmp(readers[0], readers[1], word_mask, sign_shift)
+    if inlines_alu(files, op):
+        target, mask = (
+            _dest_slot(files, op.dest.name) if op.dest is not None
+            else ("", None)
+        )
+        make = step_factory(name, PLANT_XOR if name == "xor" else 0)
+        # Unary templates never read ``b``; any reader will do there.
+        return make(readers[0], readers[-1], target, mask, machine.mask(),
+                    machine.word_size - 1)
 
     if op.dest is not None:
         commit = _dest_slot(files, op.dest.name)
@@ -525,14 +458,15 @@ def _decode_terminator(
     if isinstance(terminator, Multiway):
         read_value = _src_reader(simulator.machine.registers, terminator.reg)
         cases = tuple(
-            (case.matches, resolve(case.target)) for case in terminator.cases
+            (*mask_bits(case.mask), resolve(case.target))
+            for case in terminator.cases
         )
         default = resolve(terminator.default)
 
         def seq_multiway(state):
             value = read_value(state)
-            for matches, target in cases:
-                if matches(value):
+            for care, want, target in cases:
+                if value & care == want:
                     state.upc = target
                     return
             state.upc = default

@@ -39,6 +39,7 @@ from repro.mir.block import (
 from repro.mir.operands import Reg
 from repro.obs.events import PH_INSTANT, TRACK_SIM, Event
 from repro.obs.timeline import SimProfile, TraceRecorder
+from repro.sim.admission import engine_refusal
 from repro.sim.decode import PlanCache, decode_word
 from repro.sim.trace import TraceJIT
 from repro.sim.semantics import STATEFUL_OPS, condition_holds, evaluate
@@ -206,27 +207,21 @@ class Simulator:
         plan_stats_before = None
         jit = None
         trace_stats_before = None
-        if self.engine == "traced":
-            # The JIT only engages when nothing needs per-MI
-            # visibility: an injector can substitute mutated words at
-            # fetch, the trace sink wants every executed line, and
-            # interrupt_every must observe every cycle crossing.  With
-            # any of them attached the traced engine degrades to the
-            # exact decoded path.
-            # Snapshot before begin_run: a store swap detected there
-            # invalidates on behalf of *this* run, so the drop belongs
-            # in this run's trace_cache delta.
-            if self._trace_jit is not None:
-                trace_stats_before = self._trace_jit.stats.snapshot()
-            if (
-                injector is None
-                and self.trace is None
-                and not self.interrupt_every
-            ):
-                if self._trace_jit is None:
-                    self._trace_jit = TraceJIT(self)
-                jit = self._trace_jit
-                jit.begin_run(resident)
+        # Snapshot before begin_run: a store swap detected there
+        # invalidates on behalf of *this* run, so the drop belongs in
+        # this run's trace_cache delta.
+        if self._trace_jit is not None:
+            trace_stats_before = self._trace_jit.stats.snapshot()
+        # A refused JIT degrades the traced engine to the exact
+        # decoded path.
+        if engine_refusal(
+            self.engine, injector=injector, trace=self.trace,
+            interrupt_every=self.interrupt_every,
+        ) is None:
+            if self._trace_jit is None:
+                self._trace_jit = TraceJIT(self)
+            jit = self._trace_jit
+            jit.begin_run(resident)
         if decoded:
             if self._plan_cache is None:
                 self._plan_cache = PlanCache()

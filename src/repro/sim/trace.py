@@ -57,7 +57,8 @@ Mechanics (a NET-style trace JIT):
 
 Not traced (exact decoded fallback): runs with a fault injector, a
 text trace sink, or periodic interrupt generation
-(``interrupt_every``) — all three need per-MI visibility.  A
+(``interrupt_every``) — all three need per-MI visibility
+(:func:`repro.sim.admission.engine_refusal` decides).  A
 :class:`~repro.obs.timeline.TraceRecorder` *is* supported: trace-
 executed MIs are replayed into it afterwards with exact cycle
 stamps, so profiles and difftest observations match the decoded
@@ -77,10 +78,12 @@ from repro.errors import MicroTrap
 from repro.mir.block import Multiway
 from repro.mir.operands import Reg
 from repro.obs.events import PH_INSTANT, TRACK_SIM, Event
+from repro.sim.alu import ALU_SPEC, render
 from repro.sim.decode import (
     _COND_TESTS,
     _decode_terminator,
     _dest_slot,
+    inlines_alu,
     terminator_metadata,
 )
 from repro.sim.semantics import condition_holds, evaluate
@@ -88,7 +91,7 @@ from repro.sim.semantics import condition_holds, evaluate
 #: Bump when the generated-source layout changes incompatibly, so a
 #: stale disk tier from an older checkout can never resurrect code
 #: with different semantics.
-TRACE_FORMAT = 1
+TRACE_FORMAT = 2
 
 #: XOR mask stitched into every inlined ALU result when nonzero.
 #: This is the difftest harness's planted-bug hook (`--self-check`):
@@ -103,13 +106,6 @@ DEFAULT_HOT_THRESHOLD = 8
 #: this (typically an outer loop swallowing an inner one) are
 #: blacklisted — their inner loops trace on their own.
 DEFAULT_MAX_TRACE_LEN = 64
-
-_LOGIC_SYMBOLS = {"and": "&", "or": "|", "xor": "^"}
-#: Ops the stitcher inlines when the destination is a plain writable
-#: register — the same predicate :func:`repro.sim.decode._decode_op`
-#: uses for its step specializations.
-_ALU_OPS = ("add", "sub", "inc", "dec", "and", "or", "xor")
-
 
 class TraceUnsupported(Exception):
     """Raised at stitch time for paths the JIT refuses to compile
@@ -230,28 +226,6 @@ def _planted(expr: str) -> str:
     return expr
 
 
-def _op_mode(files, op) -> str:
-    """``skip`` | ``static`` | ``generic`` — with the same inlining
-    predicate as ``_decode_op`` (ALU inlines only commit to plain
-    writable registers; everything trickier stays on the dynamic
-    ``evaluate`` path so error behaviour matches)."""
-    name = op.op
-    if name in ("nop", "poll"):
-        return "skip"
-    if name in ("read", "write", "ldscr", "stscr", "cmp"):
-        return "static"
-    if name == "setblk":
-        if files.bank_pointer is None:
-            raise TraceUnsupported("setblk on unbanked machine")
-        return "static"
-    if name in ("mov", "movi") or name in _ALU_OPS:
-        if op.dest is not None:
-            mask = _dest_slot(files, op.dest.name)[1]
-            if mask is not None:
-                return "static"
-    return "generic"
-
-
 class _Stitcher:
     """Generates the superinstruction source for one recorded path."""
 
@@ -337,37 +311,46 @@ class _Stitcher:
         em.emit(f"_k = {k}")
         em.emit(f"# {address:04d}: {text}")
         for group in loaded.instruction.phase_groups(self.machine):
-            modes = [_op_mode(self.files, placed.op) for placed in group]
             live = [
-                placed for placed, mode in zip(group, modes)
-                if mode != "skip"
+                placed for placed in group
+                if placed.op.op not in ("nop", "poll")
             ]
-            if not live:
-                continue
-            if "generic" in modes:
-                self._emit_phase_dynamic(live)
-            else:
-                self._emit_phase_static(live)
+            if live:
+                self._emit_phase(live)
         self._emit_terminator(k, loaded.instruction.terminator,
                               address, successor)
 
-    # -- static phase: temps at step time, unrolled commits ------------
-    def _emit_phase_static(self, steps) -> None:
+    # -- one phase: temps at step time, unrolled commits ---------------
+    def _commit(self, name: str, value: str) -> str:
+        """The commit statement for one register write — a direct
+        masked store, or ``write_reg`` where the plan's commit is
+        dynamic (windows, read-only and unknown registers)."""
+        target, mask = _dest_slot(self.files, name)
+        if mask is None:
+            return f"state.write_reg({target!r}, {value})"
+        return f"regs[{target!r}] = {value} & {mask}"
+
+    def _emit_phase(self, steps) -> None:
+        """Every step reads into temporaries against phase-entry state;
+        then, as :meth:`ExecutionPlan.execute` commits, register writes
+        in step order, memory actions, and flag updates in step order
+        (a later step's flag overwrites an earlier one's)."""
         em = self.em
+        files = self.files
         word_mask = self.machine.mask()
         sign_shift = self.machine.word_size - 1
-        reg_commits: list[tuple[str, int | None, str, bool]] = []
+        reg_commits: list[str] = []
         mem_commits: list[str] = []
-        flag_exprs: dict[str, str] = {}
+        flag_commits: list[str] = []
         for placed in steps:
             op = placed.op
             name = op.op
-            srcs = [_src_expr(self.files, s) for s in op.srcs]
-            if name == "read":
-                target, mask = _dest_slot(self.files, op.dest.name)
+            srcs = [_src_expr(files, s) for s in op.srcs]
+            if name in ("read", "ldscr"):
+                source = "memory" if name == "read" else "scratch"
                 t = self._tmp()
-                em.emit(f"{t} = memory.read({srcs[0]})")
-                reg_commits.append((target, mask, t, False))
+                em.emit(f"{t} = {source}.read({srcs[0]})")
+                reg_commits.append(self._commit(op.dest.name, t))
             elif name == "write":
                 ta, td = self._tmp(), self._tmp()
                 em.emit(f"{ta} = {srcs[0]}")
@@ -379,201 +362,48 @@ class _Stitcher:
                 em.emit(f"memory.write({ta}, {td})")
                 em.dedent()
                 mem_commits.append(f"memory.write({ta}, {td})")
-            elif name == "ldscr":
-                target, mask = _dest_slot(self.files, op.dest.name)
-                t = self._tmp()
-                em.emit(f"{t} = scratch.read({srcs[0]})")
-                reg_commits.append((target, mask, t, False))
             elif name == "stscr":
                 tv, ta = self._tmp(), self._tmp()
                 em.emit(f"{tv} = {srcs[0]}")
                 em.emit(f"{ta} = {srcs[1]}")
                 mem_commits.append(f"scratch.write({ta}, {tv})")
             elif name == "setblk":
-                target, mask = _dest_slot(
-                    self.files, self.files.bank_pointer
-                )
+                if files.bank_pointer is None:
+                    raise TraceUnsupported("setblk on unbanked machine")
                 t = self._tmp()
                 em.emit(f"{t} = {srcs[0]}")
-                reg_commits.append((target, mask, t, False))
-            elif name in ("mov", "movi"):
-                target, mask = _dest_slot(self.files, op.dest.name)
-                t = self._tmp()
-                em.emit(f"{t} = ({srcs[0]}) & {word_mask}")
-                reg_commits.append((target, mask, t, False))
-            elif name in ("add", "sub", "inc", "dec", "cmp"):
-                t1, t2 = self._tmp(), self._tmp()
-                if name == "add":
-                    em.emit(f"{t1} = (({srcs[0]}) & {word_mask}) + "
-                            f"(({srcs[1]}) & {word_mask})")
-                elif name in ("sub", "cmp"):
-                    em.emit(f"{t1} = (({srcs[0]}) & {word_mask}) + "
-                            f"((({srcs[1]}) ^ {word_mask}) & {word_mask})"
-                            f" + 1")
-                elif name == "inc":
-                    em.emit(f"{t1} = (({srcs[0]}) & {word_mask}) + 1")
-                else:  # dec
-                    em.emit(f"{t1} = (({srcs[0]}) & {word_mask}) + "
-                            f"{word_mask}")
-                em.emit(f"{t2} = {t1} & {word_mask}")
-                if name != "cmp":
-                    target, mask = _dest_slot(self.files, op.dest.name)
-                    reg_commits.append((target, mask, t2, True))
-                flag_exprs["Z"] = f"1 if {t2} == 0 else 0"
-                flag_exprs["N"] = f"({t2} >> {sign_shift}) & 1"
-                flag_exprs["C"] = f"1 if {t1} > {word_mask} else 0"
-            else:  # and / or / xor
-                sym = _LOGIC_SYMBOLS[name]
-                target, mask = _dest_slot(self.files, op.dest.name)
-                t = self._tmp()
-                em.emit(f"{t} = (({srcs[0]}) & {word_mask}) {sym} "
-                        f"(({srcs[1]}) & {word_mask})")
-                reg_commits.append((target, mask, t, True))
-                flag_exprs["Z"] = f"1 if {t} == 0 else 0"
-                flag_exprs["N"] = f"({t} >> {sign_shift}) & 1"
-        # Commit discipline, unrolled: register writes in step order,
-        # then memory actions, then last-writer-wins flag stores.
-        for target, mask, tmp, alu in reg_commits:
-            value = _planted(tmp) if alu else tmp
-            if mask is None:
-                em.emit(f"state.write_reg({target!r}, {value})")
-            else:
-                em.emit(f"regs[{target!r}] = {value} & {mask}")
-        for line in mem_commits:
-            em.emit(line)
-        for flag, expr in flag_exprs.items():
-            em.emit(f"flags[{flag!r}] = {expr}")
-
-    # -- dynamic phase: the plan's commit lists, generated inline ------
-    def _emit_phase_dynamic(self, steps) -> None:
-        em = self.em
-        word_mask = self.machine.mask()
-        sign_shift = self.machine.word_size - 1
-        width = self.machine.word_size
-        em.emit("_rw = []")
-        em.emit("_fw = {}")
-        em.emit("_mo = []")
-        for placed in steps:
-            op = placed.op
-            name = op.op
-            srcs = [_src_expr(self.files, s) for s in op.srcs]
-            if name == "read":
-                target, mask = _dest_slot(self.files, op.dest.name)
-                em.emit(f"_rw.append(({target!r}, {mask!r}, "
-                        f"memory.read({srcs[0]})))")
-            elif name == "write":
-                ta, td = self._tmp(), self._tmp()
-                em.emit(f"{ta} = {srcs[0]}")
-                em.emit(f"{td} = {srcs[1]}")
-                em.emit(f"_mo.append(({ta}, {td}, 0))")
-                em.emit(f"if not memory.is_mapped({ta}):")
-                em.indent()
-                em.emit(f"memory.write({ta}, {td})")
-                em.dedent()
-            elif name == "ldscr":
-                target, mask = _dest_slot(self.files, op.dest.name)
-                em.emit(f"_rw.append(({target!r}, {mask!r}, "
-                        f"scratch.read({srcs[0]})))")
-            elif name == "stscr":
-                tv, ta = self._tmp(), self._tmp()
-                em.emit(f"{tv} = {srcs[0]}")
-                em.emit(f"{ta} = {srcs[1]}")
-                em.emit(f"_mo.append(({ta}, {tv}, 1))")
-            elif name == "setblk":
-                target, mask = _dest_slot(
-                    self.files, self.files.bank_pointer
+                reg_commits.append(self._commit(files.bank_pointer, t))
+            elif inlines_alu(files, op):
+                lines, value, flags = render(
+                    name, srcs[0], srcs[-1], self._tmp(), self._tmp(),
+                    word_mask, sign_shift,
                 )
-                em.emit(f"_rw.append(({target!r}, {mask!r}, {srcs[0]}))")
-            elif _op_mode(self.files, op) == "static":
-                # Inline-able ALU/mov/cmp inside a mixed phase: same
-                # value expressions, commits appended plan-style.
-                t1, t2 = self._tmp(), self._tmp()
-                if name in ("mov", "movi"):
-                    target, mask = _dest_slot(self.files, op.dest.name)
-                    em.emit(f"{t2} = ({srcs[0]}) & {word_mask}")
-                    em.emit(f"_rw.append(({target!r}, {mask!r}, {t2}))")
-                    continue
-                if name == "add":
-                    em.emit(f"{t1} = (({srcs[0]}) & {word_mask}) + "
-                            f"(({srcs[1]}) & {word_mask})")
-                elif name in ("sub", "cmp"):
-                    em.emit(f"{t1} = (({srcs[0]}) & {word_mask}) + "
-                            f"((({srcs[1]}) ^ {word_mask}) & {word_mask})"
-                            f" + 1")
-                elif name == "inc":
-                    em.emit(f"{t1} = (({srcs[0]}) & {word_mask}) + 1")
-                elif name == "dec":
-                    em.emit(f"{t1} = (({srcs[0]}) & {word_mask}) + "
-                            f"{word_mask}")
-                else:  # and / or / xor
-                    sym = _LOGIC_SYMBOLS[name]
-                    em.emit(f"{t1} = (({srcs[0]}) & {word_mask}) {sym} "
-                            f"(({srcs[1]}) & {word_mask})")
-                if name in _LOGIC_SYMBOLS:
-                    target, mask = _dest_slot(self.files, op.dest.name)
-                    em.emit(f"_rw.append(({target!r}, {mask!r}, "
-                            f"{_planted(t1)}))")
-                    em.emit(f"_fw['Z'] = 1 if {t1} == 0 else 0")
-                    em.emit(f"_fw['N'] = ({t1} >> {sign_shift}) & 1")
-                else:
-                    em.emit(f"{t2} = {t1} & {word_mask}")
-                    if name != "cmp":
-                        target, mask = _dest_slot(
-                            self.files, op.dest.name
-                        )
-                        em.emit(f"_rw.append(({target!r}, {mask!r}, "
-                                f"{_planted(t2)}))")
-                    em.emit(f"_fw['Z'] = 1 if {t2} == 0 else 0")
-                    em.emit(f"_fw['N'] = ({t2} >> {sign_shift}) & 1")
-                    em.emit(f"_fw['C'] = 1 if {t1} > {word_mask} else 0")
+                for line in lines:
+                    em.emit(line)
+                if ALU_SPEC[name].writes:
+                    planted = _planted(value) if flags else value
+                    reg_commits.append(self._commit(op.dest.name, planted))
+                flag_commits += [
+                    f"flags[{flag!r}] = {expr}" for flag, expr in flags.items()
+                ]
             else:
                 # Generic evaluate fallback — the interpreter's exact
                 # argument set, pre-bound at stitch time.
                 tr = self._tmp()
                 dest_old = (
-                    _src_expr(self.files, op.dest)
-                    if op.dest is not None else "0"
+                    _src_expr(files, op.dest) if op.dest is not None else "0"
                 )
                 em.emit(f"{tr} = evaluate({name!r}, [{', '.join(srcs)}], "
-                        f"{width}, dest_old={dest_old}, "
+                        f"{self.machine.word_size}, dest_old={dest_old}, "
                         f"carry_in=flags.get('C', 0))")
                 if op.dest is not None:
-                    target, mask = _dest_slot(self.files, op.dest.name)
-                    em.emit(f"if {tr}.value is not None:")
-                    em.indent()
-                    em.emit(f"_rw.append(({target!r}, {mask!r}, "
-                            f"{tr}.value))")
-                    em.dedent()
-                em.emit(f"if {tr}.flags:")
-                em.indent()
-                em.emit(f"_fw.update({tr}.flags)")
-                em.dedent()
-        em.emit("for _ct, _cm, _cv in _rw:")
-        em.indent()
-        em.emit("if _cm is None:")
-        em.indent()
-        em.emit("state.write_reg(_ct, _cv)")
-        em.dedent()
-        em.emit("else:")
-        em.indent()
-        em.emit("regs[_ct] = _cv & _cm")
-        em.dedent()
-        em.dedent()
-        em.emit("for _ca, _cb, _cs in _mo:")
-        em.indent()
-        em.emit("if _cs:")
-        em.indent()
-        em.emit("scratch.write(_ca, _cb)")
-        em.dedent()
-        em.emit("else:")
-        em.indent()
-        em.emit("memory.write(_ca, _cb)")
-        em.dedent()
-        em.dedent()
-        em.emit("if _fw:")
-        em.indent()
-        em.emit("flags.update(_fw)")
-        em.dedent()
+                    reg_commits.append(
+                        f"if {tr}.value is not None: "
+                        + self._commit(op.dest.name, f"{tr}.value")
+                    )
+                flag_commits.append(f"flags.update({tr}.flags)")
+        for line in reg_commits + mem_commits + flag_commits:
+            em.emit(line)
 
     # -- sequencing guards ---------------------------------------------
     def _emit_exit(self, k: int, reason: str, upc: int | str | None

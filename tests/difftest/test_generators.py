@@ -24,6 +24,16 @@ MACHINES = ("HM1", "CM1", "VM1")
 LANGS = ("empl", "mpl", "simpl", "sstar", "yalll")
 
 
+class TestRefusal:
+    def test_small_register_pool_is_a_typed_refusal(self):
+        from repro.difftest.generators import GeneratorRefusal
+        from repro.errors import ReproError
+
+        with pytest.raises(GeneratorRefusal, match="register pool"):
+            generate_case("simpl", build_machine("ID3200m"), 0)
+        assert issubclass(GeneratorRefusal, ReproError)
+
+
 class TestRegistry:
     def test_every_language_has_a_generator(self):
         assert generator_names() == language_names()

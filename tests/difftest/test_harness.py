@@ -47,6 +47,27 @@ class TestRunDifftest:
         payload = report.to_json()
         assert payload["metrics"]["difftest"]["cases"] == report.cases_run
 
+    def test_refused_pairs_are_skipped_and_listed(self):
+        """ID3200m's four allocatable registers are too few for some
+        generators: those (lang, machine) pairs are refused by type,
+        skipped, counted and listed — never a crash."""
+        report = run_difftest(seed=0, budget=6, size=6,
+                              machines=("ID3200m",), axes=("engine",))
+        assert report.clean
+        refused = {lang for lang, _ in report.refused}
+        assert refused == {"mpl", "simpl", "sstar"}
+        assert report.cases_run + sum(
+            cases for _, cases in report.refused.values()) == 6
+        assert int(report.metrics.difftest.get("refused")) == 3
+        payload = json.loads(json.dumps(report.to_json()))
+        assert [(r["lang"], r["machine"], r["cases"])
+                for r in payload["refused"]] == [
+            ("mpl", "ID3200m", 1), ("simpl", "ID3200m", 1),
+            ("sstar", "ID3200m", 1),
+        ]
+        assert "register pool too small" in payload["refused"][0]["reason"]
+        assert "refused: simpl on ID3200m" in report.render()
+
     def test_case_events_are_traced(self):
         tracer = Tracer()
         run_difftest(seed=0, budget=2, size=6, axes=("engine",),
@@ -69,15 +90,14 @@ class TestSelfCheck:
         """A divergent campaign writes self-contained reproducers."""
         import repro.sim.decode as decode
 
-        pristine = decode._LOGIC["xor"]
-        decode._LOGIC["xor"] = lambda a, b: (a ^ b) ^ 1
+        decode.PLANT_XOR = 1
         try:
             report = run_difftest(
                 seed=0, budget=2, size=6, axes=("engine",),
                 corpus_dir=tmp_path, reduce=False,
             )
         finally:
-            decode._LOGIC["xor"] = pristine
+            decode.PLANT_XOR = 0
         assert not report.clean
         files = sorted(tmp_path.glob("div-*.json"))
         assert len(files) == len(report.divergences)
@@ -90,13 +110,12 @@ class TestSelfCheck:
         import repro.sim.decode as decode
 
         tracer = Tracer()
-        pristine = decode._LOGIC["xor"]
-        decode._LOGIC["xor"] = lambda a, b: (a ^ b) ^ 1
+        decode.PLANT_XOR = 1
         try:
             run_difftest(seed=0, budget=1, size=6, axes=("engine",),
                          reduce=False, tracer=tracer)
         finally:
-            decode._LOGIC["xor"] = pristine
+            decode.PLANT_XOR = 0
         names = [e.name for e in tracer.events]
         assert "difftest.divergence" in names
 

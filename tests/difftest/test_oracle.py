@@ -76,6 +76,14 @@ class TestAxes:
         assert run_axis("cache", case, workdir=tmp_path) is None
         assert list(tmp_path.glob("cache-*/*.pkl"))
 
+    def test_cache_axis_owes_no_disk_hit_when_compile_fails(self, tmp_path):
+        """A program its machine cannot compile stores nothing; both
+        sides observe the same compile error, which is not a cache
+        divergence."""
+        case = generate_case("simpl", build_machine("VAXm"), 52)
+        assert observe(case).error.startswith("SemanticError")
+        assert run_axis("cache", case, workdir=tmp_path) is None
+
     def test_shards_axis_compares_reports(self):
         case = generate_case("yalll", build_machine("HM1"), 2)
         assert run_axis("shards", case) is None
@@ -84,12 +92,11 @@ class TestAxes:
         import repro.sim.decode as decode
 
         case = generate_case("yalll", build_machine("HM1"), 4)
-        pristine = decode._LOGIC["xor"]
-        decode._LOGIC["xor"] = lambda a, b: (a ^ b) ^ 1
+        decode.PLANT_XOR = 1
         try:
             divergence = run_axis("engine", case)
         finally:
-            decode._LOGIC["xor"] = pristine
+            decode.PLANT_XOR = 0
         assert divergence is not None
         assert divergence.axis == "engine"
         assert any("registers" in m or "exit_value" in m
@@ -141,9 +148,8 @@ class TestAxes:
         import repro.sim.decode as decode
 
         case = generate_case("yalll", build_machine("HM1"), 4)
-        pristine = decode._LOGIC["xor"]
-        decode._LOGIC["xor"] = lambda a, b: (a ^ b) ^ 1
+        decode.PLANT_XOR = 1
         try:
             assert run_axis("restart", case) is None
         finally:
-            decode._LOGIC["xor"] = pristine
+            decode.PLANT_XOR = 0

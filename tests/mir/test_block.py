@@ -1,6 +1,10 @@
 """Basic blocks and terminators."""
 
+import pickle
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import MIRError
 from repro.mir import (
@@ -58,6 +62,38 @@ class TestMaskCase:
             MaskCase("10z0", "t")
         with pytest.raises(MIRError):
             MaskCase("", "t")
+
+    @staticmethod
+    def bitwise_reference(mask: str, value: int) -> bool:
+        """The original bit-by-bit match, kept as the reference."""
+        for position, bit in enumerate(reversed(mask)):
+            if bit == "x":
+                continue
+            if ((value >> position) & 1) != int(bit):
+                return False
+        return True
+
+    @given(
+        mask=st.text(alphabet="01x", min_size=1, max_size=40),
+        value=st.integers(min_value=-(1 << 48), max_value=1 << 48),
+    )
+    def test_care_want_match_equals_bitwise_reference(self, mask, value):
+        assert MaskCase(mask, "t").matches(value) \
+            == self.bitwise_reference(mask, value)
+
+    def test_pickles_unchanged_by_matching(self):
+        """care/want are memoised per mask string, never stored on the
+        case: a pickle from before the change still loads, and matching
+        adds nothing to what pickles (compile-cache entries hold these)."""
+        legacy = (
+            b"\x80\x04\x95D\x00\x00\x00\x00\x00\x00\x00\x8c\x0frepro.mir"
+            b".block\x94\x8c\x08MaskCase\x94\x93\x94)\x81\x94}\x94(\x8c\x04"
+            b"mask\x94\x8c\x0301x\x94\x8c\x06target\x94\x8c\x03arm\x94ub."
+        )
+        case = pickle.loads(legacy)
+        assert case == MaskCase("01x", "arm")
+        assert case.matches(0b010) and not case.matches(0b110)
+        assert pickle.dumps(case, protocol=4) == legacy
 
     def test_multiway_successors_include_default(self):
         multiway = Multiway(

@@ -7,7 +7,8 @@ counters, every register and flag, memory contents, and even the
 error *text* a failing lane reports.  Divergence (a trap, a different
 branch direction, a datapath fault, budget exhaustion) peels the lane
 onto the scalar engine, so identity holds by construction; these
-tests pin that down on HM1 and CM1 for both vector backends.
+tests pin that down on HM1 and CM1.  Without numpy, admission refuses
+every batch and the scalar engine runs each case.
 """
 
 import subprocess
@@ -20,7 +21,8 @@ from repro.asm import ControlStore
 from repro.faults.campaign import default_trap_service
 from repro.lang.yalll import compile_yalll
 from repro.machine.machines import get_machine
-from repro.sim import BatchCase, Simulator, batch_refusal, run_cases
+import repro.sim.admission as admission
+from repro.sim import BatchCase, Simulator, engine_refusal, run_cases
 from repro.sim.batch import HAVE_NUMPY, resolve_backend
 
 MUL_SRC = """
@@ -68,11 +70,6 @@ STRAIGHT_SRC = """
     add a,a,3
     exit a
 """
-
-BACKENDS = (
-    ("numpy", "python") if HAVE_NUMPY else ("python",)
-)
-
 
 def compiled(source, machine, name="prog"):
     return compile_yalll(source, machine, name=name)
@@ -124,60 +121,89 @@ def assert_lane_matches(outcome, reference, *, mem_region=None):
 
 
 def sweep(machine, loaded, cases, *, batches=(1, 4, 64), paging=False,
-          trap_service=None, max_cycles=200_000, backends=BACKENDS,
-          mem_region=None):
-    """Every batch size and backend against the scalar oracle."""
+          trap_service=None, max_cycles=200_000, mem_region=None):
+    """Every batch size against the scalar oracle."""
     references = [
         scalar_reference(machine, loaded, case, paging=paging,
                          trap_service=trap_service, max_cycles=max_cycles)
         for case in cases
     ]
-    for backend in backends:
-        for size in batches:
-            outcomes = run_cases(
-                machine, loaded, cases, batch=size, paging=paging,
-                trap_service=trap_service, max_cycles=max_cycles,
-                backend=backend,
-            )
-            assert len(outcomes) == len(cases)
-            for outcome, reference in zip(outcomes, references):
-                assert_lane_matches(outcome, reference,
-                                    mem_region=mem_region)
+    for size in batches:
+        outcomes = run_cases(
+            machine, loaded, cases, batch=size, paging=paging,
+            trap_service=trap_service, max_cycles=max_cycles,
+        )
+        assert len(outcomes) == len(cases)
+        for outcome, reference in zip(outcomes, references):
+            assert_lane_matches(outcome, reference, mem_region=mem_region)
     return references
 
 
 class TestBackends:
     def test_resolve_backend_auto_prefers_numpy(self):
-        expected = "numpy" if HAVE_NUMPY else "python"
+        expected = "numpy" if HAVE_NUMPY else "scalar"
         assert resolve_backend("auto") == expected
-        assert resolve_backend("python") == "python"
 
     def test_unknown_backend_rejected(self):
         from repro.errors import SimulationError
 
-        with pytest.raises(SimulationError):
-            resolve_backend("cuda")
+        for name in ("cuda", "python"):
+            with pytest.raises(SimulationError):
+                resolve_backend(name)
 
-    def test_missing_numpy_selects_python(self, monkeypatch):
-        monkeypatch.setattr(batch, "HAVE_NUMPY", False)
-        assert batch.resolve_backend("auto") == "python"
-        # Asking for numpy without it quietly falls back too: a
-        # stdlib-only install must never crash over the fast path.
-        assert batch.resolve_backend("numpy") == "python"
+    def test_missing_numpy_refuses_batching(self, monkeypatch):
+        """No numpy: the batch is refused and every case runs on the
+        scalar engine, unpeeled."""
+        monkeypatch.setattr(admission, "HAVE_NUMPY", False)
+        machine = get_machine("HM1")
+        assert engine_refusal("decoded", machine, lanes=4) == "no-numpy"
+        result = compiled(MUL_SRC, machine, name="mul")
+        mapping = result.allocation.mapping
+        cases = [BatchCase(registers={mapping["a"]: 3, mapping["n"]: n})
+                 for n in (1, 4)]
+        outcomes = run_cases(machine, result.loaded, cases, batch=4)
+        assert [o.result.exit_value for o in outcomes] == [3, 12]
+        assert not any(o.peeled for o in outcomes)
 
-    def test_import_without_numpy_is_clean(self, tmp_path):
-        """The module import survives an unimportable numpy."""
+    def _without_numpy(self, tmp_path, code):
         (tmp_path / "numpy.py").write_text("raise ImportError('absent')\n")
         src = str(batch.__file__).rsplit("/repro/", 1)[0]
         probe = subprocess.run(
-            [sys.executable, "-c",
-             "import repro.sim.batch as b;"
-             "print(b.HAVE_NUMPY, b.resolve_backend('auto'))"],
-            capture_output=True, text=True,
+            [sys.executable, "-c", code], capture_output=True, text=True,
             env={"PYTHONPATH": f"{tmp_path}:{src}"},
         )
         assert probe.returncode == 0, probe.stderr
-        assert probe.stdout.split() == ["False", "python"]
+        return probe.stdout.split()
+
+    def test_import_without_numpy_is_clean(self, tmp_path):
+        """The module import survives an unimportable numpy."""
+        assert self._without_numpy(
+            tmp_path,
+            "import repro.sim.batch as b;"
+            "print(b.HAVE_NUMPY, b.resolve_backend('auto'))",
+        ) == ["False", "scalar"]
+
+    def test_no_numpy_batch_is_byte_identical_to_scalar(self, tmp_path):
+        """With numpy unimportable, ``run_cases(batch=64)`` is refused
+        with ``no-numpy`` and its outcomes render byte for byte like
+        ``batch=1``'s."""
+        code = f"""
+import json
+from repro.lang.yalll import compile_yalll
+from repro.machine.machines import get_machine
+from repro.sim import BatchCase, engine_refusal, run_cases
+machine = get_machine("HM1")
+result = compile_yalll({MUL_SRC!r}, machine, name="mul")
+m = result.allocation.mapping
+cases = [BatchCase(registers={{m["a"]: 3, m["n"]: n}}) for n in range(9)]
+def render(outcomes):
+    return json.dumps([[vars(o.result), o.registers, o.flags, o.peeled]
+                       for o in outcomes], sort_keys=True)
+print(engine_refusal("decoded", machine, lanes=64))
+print(render(run_cases(machine, result.loaded, cases, batch=64))
+      == render(run_cases(machine, result.loaded, cases, batch=1)))
+"""
+        assert self._without_numpy(tmp_path, code) == ["no-numpy", "True"]
 
 
 class TestLockstepParity:
@@ -308,9 +334,12 @@ class TestPlantHook:
 class TestAdmission:
     def test_refusal_reasons(self):
         machine = get_machine("HM1")
-        refuse = lambda **kw: batch_refusal(machine, **kw)
+
+        def refuse(engine="decoded", **kw):
+            return engine_refusal(engine, machine, **kw)
+
         assert refuse(lanes=1) == "batch=1"
-        assert refuse(lanes=4, engine="traced") == "engine=traced"
+        assert refuse("traced", lanes=4) == "engine=traced"
         assert refuse(lanes=4, injector=True) == "injector"
         assert refuse(lanes=4, recorder=True) == "recorder"
         assert refuse(lanes=4, trace=True) == "trace"
@@ -318,9 +347,23 @@ class TestAdmission:
         assert refuse(lanes=4, deadline_s=1.0) == "deadline"
         assert refuse(lanes=4) is None
 
+    def test_trace_jit_reasons(self):
+        """A scalar run (no ``lanes``) asks about the trace JIT, which
+        tolerates a recorder and a deadline but no per-MI hook."""
+        machine = get_machine("HM1")
+        assert engine_refusal("decoded", machine) == "engine=decoded"
+        assert engine_refusal("traced", machine, injector=object()) \
+            == "injector"
+        assert engine_refusal("traced", machine, trace=[]) == "trace"
+        assert engine_refusal("traced", machine, interrupt_every=5) \
+            == "interrupt_every"
+        assert engine_refusal("traced", machine, recorder=object(),
+                              deadline_s=1.0) is None
+
     def test_banked_windows_refused(self):
         machine = get_machine("ID3200m")
-        assert batch_refusal(machine, lanes=4) == "banked-windows"
+        assert engine_refusal("decoded", machine, lanes=4) \
+            == "banked-windows"
 
     def test_refused_admission_runs_scalar_unpeeled(self):
         """engine != decoded refuses lockstep; results still come from
