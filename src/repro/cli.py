@@ -682,7 +682,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     difftest_parser.add_argument(
         "--seed", type=int, default=0,
-        help="campaign seed; case i reproduces from seed and i alone")
+        help="campaign seed; case i regenerates from the seed, i, "
+             "--langs, --machines and --size")
     difftest_parser.add_argument(
         "--budget", type=int, default=200, metavar="N",
         help="generated cases to run (default 200)")

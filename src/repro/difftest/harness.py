@@ -3,9 +3,9 @@
 One campaign walks a seeded case stream round-robin over the selected
 languages and machines: case ``i`` gets language ``langs[i % L]``,
 machine ``machines[(i // L) % M]`` and per-case seed
-``seed * 1_000_003 + i`` — so any reported case is reproducible from
-the campaign seed and its index alone, and every (language, machine)
-cell is visited evenly regardless of budget.
+``seed * 1_000_003 + i`` — so case ``i`` regenerates from the campaign
+seed, its index, the language and machine lists and ``size``, and
+every (language, machine) cell is visited evenly regardless of budget.
 
 Axis thinning keeps the budget meaningful: ``engine``, ``traced``
 and ``restart`` run on every case (they are one extra execution
@@ -165,7 +165,14 @@ def _shrink(divergence: Divergence, workdir) -> str:
     return reduce_source(case.source, still_diverges)
 
 
-def _write_repro(divergence: Divergence, corpus_dir: Path) -> str:
+def _write_repro(divergence: Divergence, corpus_dir: Path, *, seed: int,
+                 index: int, size: int | None) -> str:
+    """Write one divergence as a self-contained JSON reproducer.
+
+    Its command reruns the campaign up to case ``index`` on that
+    case's language and machine alone: case ``index`` then gets the
+    same per-case seed, so the last case run is this one again.
+    """
     case = divergence.case
     corpus_dir.mkdir(parents=True, exist_ok=True)
     path = corpus_dir / (
@@ -176,14 +183,18 @@ def _write_repro(divergence: Divergence, corpus_dir: Path) -> str:
             "lang": case.lang,
             "machine": case.machine,
             "seed": case.seed,
+            "campaign_seed": seed,
+            "index": index,
+            "size": size,
             "axis": divergence.axis,
             "mismatches": list(divergence.mismatches),
             "source": case.source,
             "reduced_source": divergence.reduced_source,
             "repro": (
-                f"python -m repro difftest --seed {case.seed} --budget 1 "
-                f"--langs {case.lang} --machines {case.machine} "
-                f"--axes {divergence.axis}"
+                f"python -m repro difftest --seed {seed} "
+                f"--budget {index + 1} --langs {case.lang} "
+                f"--machines {case.machine} --axes {divergence.axis}"
+                + (f" --size {size}" if size is not None else "")
             ),
         },
         indent=2,
@@ -273,7 +284,8 @@ def run_difftest(
                 report.divergences.append(divergence)
                 if corpus is not None:
                     report.corpus_files.append(
-                        _write_repro(divergence, corpus)
+                        _write_repro(divergence, corpus, seed=seed,
+                                     index=index, size=size)
                     )
     return report
 

@@ -10,14 +10,27 @@ ask :func:`engine_refusal`.
 
 from __future__ import annotations
 
-try:
-    import numpy
-except ImportError:  # pragma: no cover - exercised by a subprocess test
-    numpy = None
-
 #: Lane vectors are numpy arrays; without numpy every batch is refused
-#: (``"no-numpy"``) and the scalar engine runs each case.
-HAVE_NUMPY = numpy is not None
+#: (``"no-numpy"``) and the scalar engine runs each case.  None until
+#: :func:`have_numpy` first asks.
+HAVE_NUMPY: bool | None = None
+#: The numpy module once :func:`have_numpy` has imported it.
+numpy = None
+
+
+def have_numpy() -> bool:
+    """Whether lane vectors are available, importing numpy on the first
+    lockstep admission rather than at import (``import repro.cli``
+    never loads it)."""
+    global HAVE_NUMPY, numpy
+    if HAVE_NUMPY is None:
+        try:
+            import numpy
+        except ImportError:
+            HAVE_NUMPY = False
+        else:
+            HAVE_NUMPY = True
+    return HAVE_NUMPY
 
 
 def engine_refusal(
@@ -70,7 +83,7 @@ def engine_refusal(
         return f"engine={engine}"
     if machine is None:
         return None
-    if not HAVE_NUMPY:
+    if not have_numpy():
         return "no-numpy"
     files = machine.registers
     if files.windows or files.bank_pointer:

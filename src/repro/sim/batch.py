@@ -3,15 +3,19 @@
 The scalar engines pay one Python dispatch per microinstruction *per
 case*; a million-case campaign is a million interpreter loops.  This
 module holds N independent cases as **struct-of-arrays** — every
-register and flag becomes a lane vector — and drives them in lockstep
-through batched execution plans: one step closure per placed op per
-microinstruction, each operating on whole numpy lane vectors, so the
-Python-level dispatch cost is amortised across the batch.  This is the
-structural move that makes VADL-style generated simulators fast,
-applied to the pre-decoded engine of :mod:`repro.sim.decode`: the ALU
-steps *are* the decoded engine's (rendered from :mod:`repro.sim.alu`),
-run on vectors; only memory, scratchpad, sequencing and the per-lane
-``evaluate`` fallback are lane-specific here.
+register and flag becomes a lane vector — and drives them in lockstep,
+so the Python-level dispatch cost is amortised across the batch.  The
+lanes run the decoded engine's own plans:
+:func:`~repro.sim.decode.decode_word` is the only lowering, and each
+:class:`~repro.sim.decode.ExecutionPlan` it builds runs unchanged on a
+:class:`BatchedState`.  Only three pieces of lowering are
+lane-specific (the :class:`~repro.sim.decode.Lowering` passed to
+``decode_word``): immediates become constant lane vectors, ops without
+an :data:`~repro.sim.alu.ALU_SPEC` template run ``evaluate`` per lane,
+and flag-tested branches and multiway dispatch follow the batch leader
+through :meth:`BatchedState.settle`.  :class:`BatchedState` implements
+the scalar state surface those plans call — memory, scratchpad,
+``read_reg``/``write_reg``, the return stack — over lanes.
 
 **Lockstep invariant.**  While lanes are live they share one
 microprogram counter, one cycle count and one micro return stack —
@@ -46,25 +50,12 @@ batch-state corruption the difftest ``batched`` axis must catch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.asm.loader import ControlStore
 from repro.errors import MicroTrap, SimulationError
-from repro.mir.block import (
-    Branch,
-    Call,
-    Exit,
-    Fallthrough,
-    Jump,
-    Multiway,
-    Ret,
-    mask_bits,
-)
-from repro.mir.operands import Reg
-from repro.sim.admission import HAVE_NUMPY, engine_refusal
-from repro.sim.admission import numpy as _np
-from repro.sim.alu import step_factory
-from repro.sim.decode import _COND_TESTS, inlines_alu
+from repro.sim import admission
+from repro.sim.admission import engine_refusal
+from repro.sim.decode import Lowering, decode_word
 from repro.sim.memory import MainMemory, Scratchpad
 from repro.sim.semantics import evaluate
 from repro.sim.simulator import RunResult, Simulator
@@ -77,6 +68,17 @@ PLANT_LANE_XOR = 0
 
 #: Default lane count for batched sweeps (difftest axis, benchmarks).
 DEFAULT_LANES = 64
+
+#: numpy, bound by the first admitted lockstep batch: admission imports
+#: it then, never at import time.
+_np = None
+
+
+def __getattr__(name: str):
+    # ``HAVE_NUMPY`` asks admission, which imports numpy on first use.
+    if name == "HAVE_NUMPY":
+        return admission.have_numpy()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _full(n: int, value: int):
@@ -95,7 +97,7 @@ def resolve_backend(backend: str = "auto") -> str:
         raise SimulationError(
             f"unknown batch backend {backend!r} (expected 'auto')"
         )
-    return "numpy" if HAVE_NUMPY else "scalar"
+    return "numpy" if admission.have_numpy() else "scalar"
 
 
 # ----------------------------------------------------------------------
@@ -162,22 +164,57 @@ class _DenseLaneView:
 
 
 # ----------------------------------------------------------------------
-# Batched memory
+# Lane stores: the scalar memory and scratchpad surface over lanes
 # ----------------------------------------------------------------------
+class _Lanes:
+    """Which lanes still follow the batch leader.
+
+    Shared by :class:`BatchedState` and its lane stores.  The stores
+    hold this, never the state: a back-reference would form a cycle
+    that keeps the (lanes x 64k) memory array alive until the cyclic
+    collector happens to run.
+    """
+
+    __slots__ = ("n", "live", "vec", "peeled")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.live = [True] * n
+        self.vec = _full(n, 1)
+        self.peeled: dict[int, str] = {}
+
+    def live_lanes(self) -> list[int]:
+        return [lane for lane in range(self.n) if self.live[lane]]
+
+    def any_live(self) -> bool:
+        return any(self.live)
+
+    def peel(self, lane: int, reason: str) -> None:
+        if self.live[lane]:
+            self.live[lane] = False
+            self.vec[lane] = 0
+            self.peeled[lane] = reason
+
+    def peel_all(self, reason: str) -> None:
+        for lane in self.live_lanes():
+            self.peel(lane, reason)
+
+
 class _DenseMemory:
     """All lanes' main memory as one (lanes, size) numpy array.
 
-    Used whenever paging is disabled — the regime
-    where no memory touch can trap, so reads and writes are single
-    fancy-indexing operations across the batch.
+    Used whenever paging is disabled — the regime where no memory
+    touch can trap, so reads and writes are single fancy-indexing
+    operations across the batch.
     """
 
-    __slots__ = ("words", "rows", "size")
+    __slots__ = ("lanes", "words", "rows", "size")
 
-    def __init__(self, lanes: int, size: int = 65536):
+    def __init__(self, lanes: _Lanes, size: int = 65536):
+        self.lanes = lanes
         self.size = size
-        self.words = _np.zeros((lanes, size), dtype=_np.int64)
-        self.rows = _np.arange(lanes)
+        self.words = _np.zeros((lanes.n, size), dtype=_np.int64)
+        self.rows = _np.arange(lanes.n)
 
     def load(self, lane: int, base: int, values) -> None:
         for offset, value in enumerate(values):
@@ -185,80 +222,79 @@ class _DenseMemory:
                 raise SimulationError("load_words out of range")
             self.words[lane, base + offset] = value
 
-    def _clamp(self, state: BatchedState, addrs):
+    def _clamp(self, addrs):
+        """Peel lanes whose address is out of range (the scalar engine
+        raises there) and point them at word 0."""
         bad = (addrs < 0) | (addrs >= self.size)
         if bad.any():
-            for lane in state.live_lanes():
+            for lane in self.lanes.live_lanes():
                 if bad[lane]:
-                    state.peel(lane, "memory-range")
+                    self.lanes.peel(lane, "memory-range")
             addrs = _np.where(bad, 0, addrs)
         return addrs
 
-    def read_vec(self, state: BatchedState, addrs):
-        return self.words[self.rows, self._clamp(state, addrs)]
+    def read(self, addrs):
+        return self.words[self.rows, self._clamp(addrs)]
 
-    def write_vec(self, state: BatchedState, addrs, values) -> None:
-        addrs = self._clamp(state, addrs)
-        live = state.live_vec
+    def write(self, addrs, values) -> None:
+        addrs = self._clamp(addrs)
         rows = self.rows
         # Peeled lanes must not commit: route their store to their own
         # address but with the value already there (a no-op write).
         current = self.words[rows, addrs]
-        self.words[rows, addrs] = _np.where(live == 1, values, current)
+        self.words[rows, addrs] = _np.where(self.lanes.vec == 1, values,
+                                            current)
+
+    def is_mapped(self, addrs) -> bool:
+        # Paging is off: every in-range address is mapped.
+        return True
 
     def lane_view(self, lane: int) -> _DenseLaneView:
         return _DenseLaneView(self.words[lane], self.size)
 
 
-class _LaneMemories:
-    """Per-lane :class:`MainMemory` objects (paging enabled).
+class _PerLane:
+    """One scalar store per lane: paged main memories or scratchpads.
 
-    Reads and writes loop over live lanes; a :class:`MicroTrap` or
-    address error in one lane peels that lane and leaves the rest in
-    lockstep.
+    Reads and writes loop over live lanes; a lane whose access raises
+    (a :class:`MicroTrap` or an address error) peels, and the rest
+    stay in lockstep.
     """
 
-    __slots__ = ("memories",)
+    __slots__ = ("lanes", "stores")
 
-    def __init__(self, lanes: int, *, paging: bool):
-        self.memories = [
-            MainMemory(paging_enabled=paging) for _ in range(lanes)
-        ]
+    def __init__(self, lanes: _Lanes, stores: list):
+        self.lanes = lanes
+        self.stores = stores
 
     def load(self, lane: int, base: int, values) -> None:
-        self.memories[lane].load_words(base, list(values))
+        self.stores[lane].load_words(base, list(values))
 
-    def read_vec(self, state: BatchedState, addrs):
-        values = [0] * state.n
-        for lane in state.live_lanes():
+    def read(self, addrs):
+        values = [0] * self.lanes.n
+        for lane in self.lanes.live_lanes():
             try:
-                values[lane] = self.memories[lane].read(int(addrs[lane]))
-            except (MicroTrap, SimulationError):
-                state.peel(lane, "trap")
+                values[lane] = self.stores[lane].read(int(addrs[lane]))
+            except SimulationError:
+                self.lanes.peel(lane, "access")
         return _vector(values)
 
-    def write_vec(self, state: BatchedState, addrs, values) -> None:
-        for lane in state.live_lanes():
+    def write(self, addrs, values) -> None:
+        for lane in self.lanes.live_lanes():
             try:
-                self.memories[lane].write(
-                    int(addrs[lane]), int(values[lane])
-                )
-            except (MicroTrap, SimulationError):
-                state.peel(lane, "trap")
+                self.stores[lane].write(int(addrs[lane]), int(values[lane]))
+            except SimulationError:
+                self.lanes.peel(lane, "access")
 
-    def touch(self, state: BatchedState, addrs, values) -> None:
-        """The decoded engine's write-allocate check, per lane."""
-        for lane in state.live_lanes():
-            address = int(addrs[lane])
-            memory = self.memories[lane]
-            if not memory.is_mapped(address):
-                try:
-                    memory.write(address, int(values[lane]))
-                except (MicroTrap, SimulationError):
-                    state.peel(lane, "trap")
+    def is_mapped(self, addrs) -> bool:
+        """The write step's early fault check, passed for every lane: an
+        unmapped lane faults at the commit write instead, and peels
+        there — a peeled lane replays from scratch, so where in the
+        microinstruction it left is unobservable."""
+        return True
 
-    def lane_view(self, lane: int) -> MainMemory:
-        return self.memories[lane]
+    def lane_view(self, lane: int):
+        return self.stores[lane]
 
 
 # ----------------------------------------------------------------------
@@ -272,56 +308,59 @@ class _PeelAll(Exception):
         self.reason = reason
 
 
+class _PlantedRegisters(dict):
+    """The register store while ``PLANT_LANE_XOR`` is set: every
+    commit XORs lane 0's value with it (commits always store a fresh
+    vector, so the in-place flip touches nothing else)."""
+
+    def __setitem__(self, name, value):
+        value[0] ^= PLANT_LANE_XOR
+        super().__setitem__(name, value)
+
+
 class BatchedState:
     """N cases as struct-of-arrays, advanced in lockstep.
 
-    ``registers``/``flags`` map names to lane vectors; main memory and
-    the scratchpads are per-lane.  The microsequencer (``upc``,
-    ``cycles``, ``micro_stack``, ``halted``) is *shared* — the
-    lockstep invariant — and ``live``/``live_vec``/``peeled`` track
-    which lanes are still following the batch leader.
+    Implements the scalar state surface the decoded engine's steps and
+    sequencing closures use, over lanes: ``registers``/``flags`` map
+    names to lane vectors; ``memory`` and ``scratchpad`` read and
+    write whole lane vectors, peeling each lane where the scalar
+    engine would raise; ``read_reg``/``write_reg``/``push_return``/
+    ``pop_return`` raise :class:`_PeelAll` where the scalar engine
+    would resolve a window, raise, or overflow its stack.  The
+    microsequencer (``upc``, ``cycles``, ``micro_stack``, ``halted``)
+    is *shared* — the lockstep invariant — and ``lanes`` tracks which
+    lanes still follow the batch leader.
     """
+
+    #: Batches never admit an interrupt source, so decode's ``poll``
+    #: step always finds the latch clear.
+    interrupt_pending = False
+    interrupt_handler = None
 
     def __init__(self, machine, n: int, *, paging: bool = False):
         self.machine = machine
         self.n = n
-        self.registers = {
+        self.lanes = _Lanes(n)
+        registers = {
             register.name: _full(n, register.reset)
             for register in machine.registers
         }
+        self.registers = (
+            _PlantedRegisters(registers) if PLANT_LANE_XOR else registers
+        )
         self.flags = {flag: _full(n, 0) for flag in machine.flags}
-        self.live = [True] * n
-        self.live_vec = _full(n, 1)
-        self.peeled: dict[int, str] = {}
-        if not paging:
-            self.memory = _DenseMemory(n)
-        else:
-            self.memory = _LaneMemories(n, paging=paging)
-        self.scratchpads = [
+        self.memory = _PerLane(self.lanes, [
+            MainMemory(paging_enabled=True) for _ in range(n)
+        ]) if paging else _DenseMemory(self.lanes)
+        self.scratchpad = _PerLane(self.lanes, [
             Scratchpad(machine.scratchpad_size) for _ in range(n)
-        ]
+        ])
         self.upc = 0
         self.cycles = 0
         self.micro_stack: list[int] = []
         self.halted = False
         self.exit_value = None
-
-    # -- lane management -------------------------------------------------
-    def live_lanes(self) -> list[int]:
-        return [lane for lane in range(self.n) if self.live[lane]]
-
-    def any_live(self) -> bool:
-        return any(self.live)
-
-    def peel(self, lane: int, reason: str) -> None:
-        if self.live[lane]:
-            self.live[lane] = False
-            self.live_vec[lane] = 0
-            self.peeled[lane] = reason
-
-    def peel_all(self, reason: str) -> None:
-        for lane in self.live_lanes():
-            self.peel(lane, reason)
 
     # -- lockstep sequencing ---------------------------------------------
     def settle(self, targets, reason: str) -> None:
@@ -330,18 +369,47 @@ class BatchedState:
         ``targets`` is a per-lane vector of next control-store
         addresses; the leader is the lowest live lane.
         """
-        lanes = self.live_lanes()
-        leader = int(targets[lanes[0]])
-        stray = (1 - (targets == leader) * 1) * self.live_vec
+        lanes = self.lanes
+        live = lanes.live_lanes()
+        leader = int(targets[live[0]])
+        stray = (1 - (targets == leader) * 1) * lanes.vec
         if stray.any():
-            for lane in lanes[1:]:
+            for lane in live[1:]:
                 if stray[lane]:
-                    self.peel(lane, reason)
+                    lanes.peel(lane, reason)
         self.upc = leader
 
+    # -- the scalar register and stack surface ----------------------------
+    def read_reg(self, name: str):
+        """A plain register's lane vector.  A banked window or unknown
+        name replays every lane on the scalar engine, which resolves
+        or raises exactly."""
+        if self.machine.registers.is_window(name) \
+                or name not in self.registers:
+            raise _PeelAll(f"dynamic register {name!r}")
+        return self.registers[name]
+
+    def write_reg(self, name: str, value) -> None:
+        """Plain writable registers commit as direct slot stores; the
+        windows, read-only and unknown names that reach here replay
+        every lane on the scalar engine."""
+        raise _PeelAll(f"dynamic destination {name!r}")
+
+    def push_return(self, address: int) -> None:
+        if len(self.micro_stack) >= self.machine.micro_stack_depth:
+            # Shared stack: every lane overflows identically.
+            raise _PeelAll("stack-overflow")
+        self.micro_stack.append(address)
+
+    def pop_return(self) -> int:
+        if not self.micro_stack:
+            raise _PeelAll("stack-underflow")
+        return self.micro_stack.pop()
+
+    # -- loader ------------------------------------------------------------
     def poke_constant(self, name: str, value: int) -> None:
         register = self.machine.registers[name]
-        self.registers[name] = _full(self.n, value & register.mask)
+        self.registers[name][:] = value & register.mask
 
     def init_register(self, lane: int, name: str, value: int) -> None:
         """Loader-level per-lane poke with ``write_reg`` checking."""
@@ -355,107 +423,14 @@ class BatchedState:
 
 
 # ----------------------------------------------------------------------
-# Batched operand pre-resolution
+# The lane lowering: what differs from the scalar plans
 # ----------------------------------------------------------------------
-def _b_src_reader(state: BatchedState, operand):
-    """A vector reader for one source operand.
-
-    Immediates become cached constant vectors (treated as immutable —
-    every consumer derives fresh vectors through operators); registers
-    become direct slot lookups.  Windows and unknown names refuse
-    batching (the scalar replay reproduces their dynamic behaviour,
-    including the raises).
-    """
-    if not isinstance(operand, Reg):
-        constant = _full(state.n, operand.value)
-        return lambda b: constant
-    name = operand.name
-    files = state.machine.registers
-    if files.is_window(name) or name not in files.registers:
-        raise _PeelAll(f"dynamic register {name!r}")
-    return lambda b: b.registers[name]
-
-
-def _b_dest_slot(state: BatchedState, name: str) -> tuple[str, int]:
-    """``(target, mask)`` for a plain writable destination register.
-
-    Anything the scalar engine routes through ``write_reg`` at commit
-    time (windows, read-only, unknown names) refuses batching.
-    """
-    files = state.machine.registers
-    if files.is_window(name) or name not in files.registers:
-        raise _PeelAll(f"dynamic destination {name!r}")
-    register = files.registers[name]
-    if register.readonly:
-        raise _PeelAll(f"read-only destination {name!r}")
-    return (name, register.mask)
-
-
-# ----------------------------------------------------------------------
-# Batched step factories (exact vector mirrors of repro.sim.decode)
-# ----------------------------------------------------------------------
-def _b_step_read(read_addr, target, mask):
-    def step(b, reg_writes, flag_writes, memory_ops):
-        reg_writes.append(
-            (target, mask, b.memory.read_vec(b, read_addr(b)))
-        )
-
-    return step
-
-
-def _b_step_write(read_addr, read_data):
-    def step(b, reg_writes, flag_writes, memory_ops):
-        addrs = read_addr(b)
-        data = read_data(b)
-        memory_ops.append(
-            lambda a=addrs, d=data: b.memory.write_vec(b, a, d)
-        )
-        # Touch now so pagefaults surface at the op, not at commit —
-        # only meaningful in per-lane mode (dense mode never pages).
-        touch = getattr(b.memory, "touch", None)
-        if touch is not None:
-            touch(b, addrs, data)
-
-    return step
-
-
-def _b_step_ldscr(read_addr, target, mask):
-    def step(b, reg_writes, flag_writes, memory_ops):
-        addrs = read_addr(b)
-        values = [0] * b.n
-        for lane in b.live_lanes():
-            try:
-                values[lane] = b.scratchpads[lane].read(int(addrs[lane]))
-            except SimulationError:
-                b.peel(lane, "scratchpad")
-        reg_writes.append((target, mask, _vector(values)))
-
-    return step
-
-
-def _b_step_stscr(read_value, read_addr):
-    def step(b, reg_writes, flag_writes, memory_ops):
-        values = read_value(b)
-        addrs = read_addr(b)
-
-        def commit(a=addrs, v=values):
-            for lane in b.live_lanes():
-                try:
-                    b.scratchpads[lane].write(int(a[lane]), int(v[lane]))
-                except SimulationError:
-                    b.peel(lane, "scratchpad")
-
-        memory_ops.append(commit)
-
-    return step
-
-
-def _b_step_generic(name, readers, has_dest, commit, read_old, width):
-    """Per-lane :func:`evaluate` fallback for un-inlined ops.
+def _lane_step_generic(name, readers, dest, commit, read_old, width):
+    """Per-lane :func:`evaluate` fallback for ops without a spec template.
 
     The loop costs one scalar evaluation per live lane — same as the
     scalar engine — but these ops are rare in generated and compiled
-    code; the hot ALU orders above stay fully vectorised.  A per-lane
+    code; the spec's ALU orders stay fully vectorised.  A per-lane
     :class:`SimulationError` (e.g. a negative shift count) peels that
     lane; the scalar replay raises identically.
     """
@@ -467,7 +442,7 @@ def _b_step_generic(name, readers, has_dest, commit, read_old, width):
         values = [0] * b.n
         flag_cols: dict[str, list[int]] = {}
         wrote_value = False
-        for lane in b.live_lanes():
+        for lane in b.lanes.live_lanes():
             try:
                 result = evaluate(
                     name,
@@ -481,14 +456,14 @@ def _b_step_generic(name, readers, has_dest, commit, read_old, width):
                     ),
                 )
             except SimulationError:
-                b.peel(lane, "op")
+                b.lanes.peel(lane, "op")
                 continue
             if result.value is not None:
                 values[lane] = result.value
                 wrote_value = True
             for flag, value in result.flags.items():
                 flag_cols.setdefault(flag, [0] * b.n)[lane] = value
-        if wrote_value and has_dest:
+        if wrote_value and dest:
             reg_writes.append((commit[0], commit[1], _vector(values)))
         for flag, column in flag_cols.items():
             flag_writes[flag] = _vector(column)
@@ -496,213 +471,30 @@ def _b_step_generic(name, readers, has_dest, commit, read_old, width):
     return step
 
 
-def _b_decode_op(state: BatchedState, placed):
-    """Lower one placed op to a batched step (None for no-ops).
+def _lane_seq_branch(flag, expected, taken, not_taken):
+    def seq_branch(b):
+        flag_vec = b.flags.get(flag)
+        if flag_vec is None:
+            b.upc = taken if expected == 0 else not_taken
+            return
+        t = (flag_vec == expected) * 1
+        b.settle(t * taken + (1 - t) * not_taken, "branch")
 
-    ``poll`` lowers to nothing: batches never admit an interrupt
-    source, so the pending latch can never be set (the scalar step is
-    an identical no-op then).  ``setblk`` implies a banked register
-    file, which refuses admission before decode is ever reached.
-    """
-    machine = state.machine
-    op = placed.op
-    name = op.op
-    if name in ("nop", "poll"):
-        return None
-    if name == "setblk":
-        raise _PeelAll("setblk")
-
-    readers = tuple(_b_src_reader(state, src) for src in op.srcs)
-    if name == "read":
-        target, mask = _b_dest_slot(state, op.dest.name)
-        return _b_step_read(readers[0], target, mask)
-    if name == "write":
-        return _b_step_write(readers[0], readers[1])
-    if name == "ldscr":
-        target, mask = _b_dest_slot(state, op.dest.name)
-        return _b_step_ldscr(readers[0], target, mask)
-    if name == "stscr":
-        return _b_step_stscr(readers[0], readers[1])
-
-    if inlines_alu(machine.registers, op):
-        # The decoded engine's own spec-rendered step, run on vectors.
-        target, mask = (
-            _b_dest_slot(state, op.dest.name) if op.dest is not None
-            else ("", None)
-        )
-        return step_factory(name)(
-            readers[0], readers[-1], target, mask, machine.mask(),
-            machine.word_size - 1,
-        )
-
-    if op.dest is not None:
-        commit = _b_dest_slot(state, op.dest.name)
-        read_old = _b_src_reader(state, op.dest)
-    else:
-        commit = ("", None)
-        read_old = None
-    return _b_step_generic(
-        name, readers, op.dest is not None, commit, read_old,
-        machine.word_size,
-    )
+    return seq_branch
 
 
-# ----------------------------------------------------------------------
-# Batched terminator pre-decoding
-# ----------------------------------------------------------------------
-def _b_decode_terminator(state, terminator, address, resident):
-    base = resident.base
-    labels = resident.program.labels
+def _lane_seq_multiway(read_value, cases, default):
+    # Last to first, so the first matching arm wins.
+    cases = cases[::-1]
 
-    def resolve(label: str) -> int:
-        return base + labels[label]
+    def seq_multiway(b):
+        values = read_value(b)
+        targets = _full(b.n, default)
+        for care, want, target in cases:
+            targets = _np.where(values & care == want, target, targets)
+        b.settle(targets, "multiway")
 
-    if terminator is None or isinstance(terminator, (Fallthrough, Jump)):
-        target = (
-            address + 1 if terminator is None
-            else resolve(terminator.target)
-        )
-
-        def seq_jump(b):
-            b.upc = target
-
-        return seq_jump
-
-    if isinstance(terminator, Branch):
-        taken = resolve(terminator.target)
-        not_taken = resolve(terminator.otherwise)
-        cond = terminator.cond
-        if cond == "TRUE":
-            def seq_always(b):
-                b.upc = taken
-
-            return seq_always
-        test = _COND_TESTS.get(cond)
-        if test is None:
-            # condition_holds would raise identically for every lane.
-            raise _PeelAll(f"condition {cond!r}")
-        flag, expected = test
-
-        def seq_branch(b):
-            flag_vec = b.flags.get(flag)
-            if flag_vec is None:
-                b.upc = taken if expected == 0 else not_taken
-                return
-            t = (flag_vec == expected) * 1
-            b.settle(t * taken + (1 - t) * not_taken, "branch")
-
-        return seq_branch
-
-    if isinstance(terminator, Multiway):
-        read_value = _b_src_reader(state, terminator.reg)
-        cases = tuple(
-            (*mask_bits(case.mask), resolve(case.target))
-            for case in reversed(terminator.cases)
-        )
-        default = resolve(terminator.default)
-
-        def seq_multiway(b):
-            values = read_value(b)
-            targets = _full(b.n, default)
-            # Last to first, so the first matching arm wins.
-            for care, want, target in cases:
-                targets = _np.where(values & care == want, target, targets)
-            b.settle(targets, "multiway")
-
-        return seq_multiway
-
-    if isinstance(terminator, Call):
-        return_to = resolve(terminator.next)
-        procedure = base + resident.program.procedures[terminator.proc]
-        depth = state.machine.micro_stack_depth
-
-        def seq_call(b):
-            if len(b.micro_stack) >= depth:
-                # Shared stack: every lane overflows identically.
-                raise _PeelAll("stack-overflow")
-            b.micro_stack.append(return_to)
-            b.upc = procedure
-
-        return seq_call
-
-    if isinstance(terminator, Ret):
-        def seq_ret(b):
-            if not b.micro_stack:
-                raise _PeelAll("stack-underflow")
-            b.upc = b.micro_stack.pop()
-
-        return seq_ret
-
-    if isinstance(terminator, Exit):
-        value = terminator.value
-        if value is None:
-            def seq_exit(b):
-                b.halted = True
-
-            return seq_exit
-        read_value = _b_src_reader(state, value)
-
-        def seq_exit_value(b):
-            b.halted = True
-            b.exit_value = read_value(b)
-
-        return seq_exit_value
-
-    raise _PeelAll(f"terminator {terminator!r}")
-
-
-class _BatchPlan:
-    """One control-store word, lowered for lockstep execution."""
-
-    __slots__ = ("phases", "cycles", "sequence")
-
-    def __init__(self, phases, cycles, sequence):
-        self.phases = phases
-        self.cycles = cycles
-        self.sequence = sequence
-
-    def execute(self, b: BatchedState) -> None:
-        """Same commit discipline as the scalar plan: within a phase
-        all reads see phase-entry state, then register writes commit,
-        then memory actions, then flag updates."""
-        for steps in self.phases:
-            reg_writes: list = []
-            flag_writes: dict = {}
-            memory_ops: list[Callable[[], None]] = []
-            for step in steps:
-                step(b, reg_writes, flag_writes, memory_ops)
-            if reg_writes:
-                registers = b.registers
-                for target, mask, value in reg_writes:
-                    committed = value & mask
-                    if PLANT_LANE_XOR:
-                        committed[0] = int(committed[0]) ^ PLANT_LANE_XOR
-                    registers[target] = committed
-            for action in memory_ops:
-                action()
-            if flag_writes:
-                b.flags.update(flag_writes)
-
-
-def _b_decode_word(state, loaded, resident, address) -> _BatchPlan:
-    machine = state.machine
-    instruction = loaded.instruction
-    phases = []
-    for group in instruction.phase_groups(machine):
-        steps = tuple(
-            step
-            for step in (_b_decode_op(state, placed) for placed in group)
-            if step is not None
-        )
-        if steps:
-            phases.append(steps)
-    return _BatchPlan(
-        phases=tuple(phases),
-        cycles=instruction.cached_cycles(machine),
-        sequence=_b_decode_terminator(
-            state, instruction.terminator, address, resident
-        ),
-    )
+    return seq_multiway
 
 
 # ----------------------------------------------------------------------
@@ -717,10 +509,13 @@ def _run_lockstep(
     ran to EXIT inside the batch, None for lanes that peeled (the
     caller replays those scalar).
     """
+    global _np
+    _np = admission.numpy
     store = ControlStore(machine)
     resident = store.load(loaded)
     n = len(cases)
     b = BatchedState(machine, n, paging=paging)
+    lanes = b.lanes
     for lane, case in enumerate(cases):
         # A lane whose initial pokes are invalid (unknown register,
         # windowed name, out-of-range load) peels to the scalar path,
@@ -733,44 +528,49 @@ def _run_lockstep(
             for address, value in case.memory.items():
                 b.memory.load(lane, address, [value])
         except (MicroTrap, SimulationError):
-            b.peel(lane, "init")
+            lanes.peel(lane, "init")
     for name, value in resident.program.constants.items():
         b.poke_constant(name, value)
     b.upc = resident.entry
 
-    plans: dict[int, _BatchPlan] = {}
+    # The decoded engine's own plans, lowered for lane vectors.
+    lowering = Lowering(
+        lambda value: _full(n, value), _lane_step_generic,
+        _lane_seq_branch, _lane_seq_multiway,
+    )
+    plans = {}
     decodes = 0
     instructions = 0
     try:
-        while not b.halted and b.any_live():
+        while not b.halted and lanes.any_live():
             if b.cycles > max_cycles:
                 # Scalar runs raise SimulationLimitError at exactly
                 # this microinstruction boundary; the replay does too.
-                b.peel_all("budget")
+                lanes.peel_all("budget")
                 break
             plan = plans.get(b.upc)
             if plan is None:
-                plan = _b_decode_word(
-                    b, store.fetch(b.upc), resident, b.upc
+                plan = decode_word(
+                    b, store.fetch(b.upc), resident, b.upc, lowering
                 )
                 plans[b.upc] = plan
                 decodes += 1
             plan.execute(b)
-            if not b.any_live():
+            if not lanes.any_live():
                 break
             b.cycles += plan.cycles
             instructions += 1
             plan.sequence(b)
     except _PeelAll as stop:
-        b.peel_all(stop.reason)
+        lanes.peel_all(stop.reason)
     except Exception:
-        # Anything unforeseen (a fetch outside the resident, a decode
-        # the scalar engine would reject): the scalar path is the
+        # Anything unforeseen (a fetch outside the resident, an op the
+        # scalar engine would reject): the scalar path is the
         # reference — replay every lane rather than guess.
-        b.peel_all("error")
+        lanes.peel_all("error")
 
     outcomes: list[LaneOutcome | None] = [None] * n
-    if not b.any_live():
+    if not lanes.any_live():
         return outcomes
     # Per-run plan-cache counters, synthesised to match what a fresh
     # scalar simulator reports: misses are the distinct addresses
@@ -780,7 +580,7 @@ def _run_lockstep(
         "misses": decodes,
         "invalidations": 0,
     }
-    for lane in b.live_lanes():
+    for lane in lanes.live_lanes():
         exit_value = (
             int(b.exit_value[lane]) if b.exit_value is not None else None
         )
@@ -800,7 +600,7 @@ def _run_lockstep(
                 name: int(vec[lane]) for name, vec in b.registers.items()
             },
             flags={name: int(vec[lane]) for name, vec in b.flags.items()},
-            scratchpad=b.scratchpads[lane],
+            scratchpad=b.scratchpad.stores[lane],
             memory=b.memory.lane_view(lane),
             peeled=False,
         )

@@ -18,7 +18,10 @@ rendered from :mod:`repro.sim.alu`'s spec; the rest pre-bind
 cycle count pre-computed, and the terminator compiled to a single
 sequencing closure with label lookups already resolved to absolute
 control-store addresses.  The hot loop then becomes "fetch plan, run
-closures" — the regime VADL-style generated simulators live in.
+closures" — the regime VADL-style generated simulators live in.  The
+lockstep lanes of :mod:`repro.sim.batch` run these same plans; a
+:class:`Lowering` carries the few pieces that depend on how a state
+holds its values.
 
 **Fault-injection correctness.**  Plans are cached per absolute
 address *and per encoded word* (:class:`PlanCache`): when a
@@ -42,7 +45,7 @@ state dynamically (banked register windows, the swappable
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro.asm.assembler import LoadedWord
 from repro.asm.loader import ResidentProgram
@@ -217,15 +220,16 @@ class PlanCache:
 # ----------------------------------------------------------------------
 # Operand pre-resolution
 # ----------------------------------------------------------------------
-def _src_reader(files, operand) -> Callable[[StateBackend], int]:
+def _src_reader(files, operand, constant) -> Callable[[StateBackend], int]:
     """A reader closure for one source operand.
 
-    Immediates become constants; plain registers become direct slot
-    lookups; banked windows (and names the register file does not
-    know, which must keep raising through ``read_reg``) stay dynamic.
+    Immediates become constants (``constant`` shapes them the way the
+    state holds values); plain registers become direct slot lookups;
+    banked windows (and names the register file does not know, which
+    must keep raising through ``read_reg``) stay dynamic.
     """
     if not isinstance(operand, Reg):
-        value = operand.value
+        value = constant(operand.value)
         return lambda state: value
     name = operand.name
     if files.is_window(name) or name not in files.registers:
@@ -349,7 +353,7 @@ def _step_generic(name, readers, dest, commit, read_old, width) -> Step:
     return step
 
 
-def _decode_op(simulator, placed) -> Step | None:
+def _decode_op(simulator, placed, lowering) -> Step | None:
     """Lower one placed op to a step closure (None for ``nop``)."""
     machine = simulator.machine
     files = machine.registers
@@ -360,7 +364,9 @@ def _decode_op(simulator, placed) -> Step | None:
     if name == "poll":
         return _step_poll(simulator)
 
-    readers = tuple(_src_reader(files, src) for src in op.srcs)
+    readers = tuple(
+        _src_reader(files, src, lowering.constant) for src in op.srcs
+    )
     if name == "read":
         target, mask = _dest_slot(files, op.dest.name)
         return _step_read(readers[0], target, mask)
@@ -390,11 +396,11 @@ def _decode_op(simulator, placed) -> Step | None:
 
     if op.dest is not None:
         commit = _dest_slot(files, op.dest.name)
-        read_old = _src_reader(files, op.dest)
+        read_old = _src_reader(files, op.dest, lowering.constant)
     else:
         commit = ("", None)
         read_old = None
-    return _step_generic(
+    return lowering.step_generic(
         name, readers, op.dest is not None, commit, read_old,
         machine.word_size,
     )
@@ -403,8 +409,55 @@ def _decode_op(simulator, placed) -> Step | None:
 # ----------------------------------------------------------------------
 # Terminator pre-decoding
 # ----------------------------------------------------------------------
+def _seq_branch(flag, expected, taken, not_taken):
+    def seq_branch(state):
+        state.upc = (
+            taken if state.flags.get(flag, 0) == expected else not_taken
+        )
+
+    return seq_branch
+
+
+def _seq_multiway(read_value, cases, default):
+    def seq_multiway(state):
+        value = read_value(state)
+        for care, want, target in cases:
+            if value & care == want:
+                state.upc = target
+                return
+        state.upc = default
+
+    return seq_multiway
+
+
+class Lowering(NamedTuple):
+    """The parts of lowering that depend on how a state holds values.
+
+    :data:`SCALAR` is the plain-int form.  The lockstep lanes of
+    :mod:`repro.sim.batch` pass their own (values are numpy lane
+    vectors) and otherwise run these very plans.
+    """
+
+    #: An immediate's value as a reader returns it.
+    constant: Callable[[int], object]
+    #: ``(name, readers, dest, commit, read_old, width) -> step`` for
+    #: ops without an :data:`~repro.sim.alu.ALU_SPEC` template.
+    step_generic: Callable[..., Step]
+    #: ``(flag, expected, taken, not_taken) -> sequence`` for a
+    #: flag-tested branch.
+    seq_branch: Callable[..., Callable]
+    #: ``(read_value, cases, default) -> sequence`` for a multiway
+    #: dispatch; ``cases`` are ``(care, want, target)``, first match wins.
+    seq_multiway: Callable[..., Callable]
+
+
+SCALAR = Lowering(lambda value: value, _step_generic, _seq_branch,
+                  _seq_multiway)
+
+
 def _decode_terminator(
-    simulator, terminator, address: int, resident: ResidentProgram
+    simulator, terminator, address: int, resident: ResidentProgram,
+    lowering: Lowering = SCALAR,
 ) -> Callable[[StateBackend], None]:
     """Compile sequencing to one closure with absolute targets."""
     base = resident.base
@@ -446,32 +499,18 @@ def _decode_terminator(
                 )
 
             return seq_cond_generic
-        flag, expected = test
-
-        def seq_branch(state):
-            state.upc = (
-                taken if state.flags.get(flag, 0) == expected else not_taken
-            )
-
-        return seq_branch
+        return lowering.seq_branch(*test, taken, not_taken)
 
     if isinstance(terminator, Multiway):
-        read_value = _src_reader(simulator.machine.registers, terminator.reg)
-        cases = tuple(
-            (*mask_bits(case.mask), resolve(case.target))
-            for case in terminator.cases
+        return lowering.seq_multiway(
+            _src_reader(simulator.machine.registers, terminator.reg,
+                        lowering.constant),
+            tuple(
+                (*mask_bits(case.mask), resolve(case.target))
+                for case in terminator.cases
+            ),
+            resolve(terminator.default),
         )
-        default = resolve(terminator.default)
-
-        def seq_multiway(state):
-            value = read_value(state)
-            for care, want, target in cases:
-                if value & care == want:
-                    state.upc = target
-                    return
-            state.upc = default
-
-        return seq_multiway
 
     if isinstance(terminator, Call):
         return_to = resolve(terminator.next)
@@ -549,16 +588,24 @@ def terminator_metadata(
 
 # ----------------------------------------------------------------------
 def decode_word(
-    simulator, loaded: LoadedWord, resident: ResidentProgram, address: int
+    simulator, loaded: LoadedWord, resident: ResidentProgram, address: int,
+    lowering: Lowering = SCALAR,
 ) -> ExecutionPlan:
-    """Lower one loaded control-store word into an execution plan."""
+    """Lower one loaded control-store word into an execution plan.
+
+    ``simulator`` supplies the ``machine`` and the ``poll`` step's
+    ``interrupt_handler``; ``lowering`` is :data:`SCALAR` except for
+    the lockstep lanes.
+    """
     machine = simulator.machine
     instruction = loaded.instruction
     phases = []
     for group in instruction.phase_groups(machine):
         steps = tuple(
             step
-            for step in (_decode_op(simulator, placed) for placed in group)
+            for step in (
+                _decode_op(simulator, placed, lowering) for placed in group
+            )
             if step is not None
         )
         if steps:
@@ -567,6 +614,6 @@ def decode_word(
         phases=tuple(phases),
         cycles=instruction.cached_cycles(machine),
         sequence=_decode_terminator(
-            simulator, instruction.terminator, address, resident
+            simulator, instruction.terminator, address, resident, lowering
         ),
     )

@@ -5,11 +5,12 @@ execution engines consume — the register/flag/memory surface plus the
 trap and interrupt bookkeeping that :mod:`repro.sim.simulator` and
 :mod:`repro.sim.decode` read and write.  :class:`MachineState` is the
 scalar implementation (one case, plain dicts); the batched
-struct-of-arrays state in :mod:`repro.sim.batch` drives N cases in
-lockstep behind the same step semantics and peels divergent lanes
-back onto a scalar :class:`MachineState`.  The protocol is
-structural — implementations never subclass it, so the scalar hot
-loop keeps its plain-dataclass attribute access.
+struct-of-arrays state in :mod:`repro.sim.batch` implements the same
+surface over lane vectors, so the decoded engine's own plans drive N
+cases in lockstep, and peels divergent lanes back onto a scalar
+:class:`MachineState`.  The protocol is structural —
+implementations never subclass it, so the scalar hot loop keeps its
+plain-dataclass attribute access.
 """
 
 from __future__ import annotations

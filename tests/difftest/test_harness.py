@@ -106,6 +106,39 @@ class TestSelfCheck:
         assert payload["source"]
         assert "--seed" in payload["repro"]
 
+    def test_repro_commands_regenerate_their_case(self, tmp_path):
+        """A corpus file's command, parsed as the CLI parses it, reruns
+        a campaign whose last case is the reported one, source for
+        source — for a non-zero campaign seed and later indices."""
+        import shlex
+
+        import repro.sim.decode as decode
+        from repro.cli import build_parser
+
+        decode.PLANT_XOR = 1
+        try:
+            report = run_difftest(
+                seed=1, budget=4, size=6, axes=("engine",),
+                corpus_dir=tmp_path, reduce=False,
+            )
+            payloads = [json.loads(path.read_text())
+                        for path in sorted(tmp_path.glob("div-*.json"))]
+            assert max(payload["index"] for payload in payloads) > 0
+            for payload in payloads:
+                argv = shlex.split(payload["repro"])
+                assert argv[:3] == ["python", "-m", "repro"]
+                args = build_parser().parse_args(argv[3:])
+                rerun = run_difftest(
+                    seed=args.seed, budget=args.budget,
+                    langs=tuple(args.langs), machines=tuple(args.machines),
+                    axes=tuple(args.axes), size=args.size, reduce=False,
+                )
+                assert rerun.divergences[-1].case.source \
+                    == payload["source"]
+        finally:
+            decode.PLANT_XOR = 0
+        assert len(payloads) == len(report.divergences)
+
     def test_divergence_events_are_traced(self):
         import repro.sim.decode as decode
 

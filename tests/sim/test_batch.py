@@ -48,13 +48,16 @@ loop:
     exit back
 """
 
+#: ``00x1`` and ``0xx1`` overlap: the first matching arm wins.
 MULTIWAY_SRC = """
-    mjump x (0000 -> zero, 00x1 -> oddish, default -> other)
+    mjump x (0000 -> zero, 00x1 -> oddish, 0xx1 -> odd, default -> other)
 zero:  put r,1
        exit r
 oddish: put r,2
        exit r
 other: put r,3
+       exit r
+odd:   put r,4
        exit r
 """
 
@@ -183,6 +186,23 @@ class TestBackends:
             "print(b.HAVE_NUMPY, b.resolve_backend('auto'))",
         ) == ["False", "scalar"]
 
+    def test_cli_import_leaves_numpy_unloaded(self):
+        """``import repro.cli`` never imports numpy; the first lockstep
+        admission does."""
+        src = str(batch.__file__).rsplit("/repro/", 1)[0]
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.cli;"
+             "print('numpy' in sys.modules);"
+             "from repro.machine.machines import get_machine;"
+             "from repro.sim import engine_refusal;"
+             "engine_refusal('decoded', get_machine('HM1'), lanes=4);"
+             "print('numpy' in sys.modules)"],
+            capture_output=True, text=True, env={"PYTHONPATH": src},
+        )
+        assert probe.returncode == 0, probe.stderr
+        assert probe.stdout.split() == ["False", str(HAVE_NUMPY)]
+
     def test_no_numpy_batch_is_byte_identical_to_scalar(self, tmp_path):
         """With numpy unimportable, ``run_cases(batch=64)`` is refused
         with ``no-numpy`` and its outcomes render byte for byte like
@@ -276,10 +296,11 @@ class TestLockstepParity:
         mapping = result.allocation.mapping
         cases = [
             BatchCase(registers={mapping["x"]: x})
-            for x in (0, 1, 2, 3, 8, 0)
+            for x in (1, 0, 2, 3, 8, 5, 1, 3)
         ]
         references = sweep(machine, result.loaded, cases)
-        assert {r.exit_value for r, _, _ in references} == {1, 2, 3}
+        assert [r.exit_value for r, _, _ in references] \
+            == [2, 1, 3, 2, 3, 4, 2, 2]
 
     @pytest.mark.parametrize("machine_name", ("HM1", "CM1"))
     def test_budget_exhaustion_matches_scalar_error(self, machine_name):
